@@ -86,9 +86,11 @@ def _parking_by_class(m: int, n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     index: dict[tuple[int, ...], tuple[int, ...]] = {}
     for a in enumerate_parking_functions(m, n):
         key = canonical_class(a, m, n)
-        assert key not in index, "parking functions must have distinct classes"
+        if key in index:
+            raise RuntimeError("parking functions must have distinct classes")
         index[key] = a
-    assert len(index) == (m * n + 1) ** (n - 1)
+    if len(index) != (m * n + 1) ** (n - 1):
+        raise RuntimeError("parking functions must hit every class")
     return index
 
 
@@ -99,7 +101,8 @@ def _lattice_by_class(spec: ZonotopeSpec) -> dict[tuple[int, ...], tuple[int, ..
     index: dict[tuple[int, ...], tuple[int, ...]] = {}
     for x in enumerate_lattice_points(spec):
         key = canonical_class(x, spec.m, spec.n)
-        assert key not in index, "lattice points must have distinct classes"
+        if key in index:
+            raise RuntimeError("lattice points must have distinct classes")
         index[key] = x
     return index
 

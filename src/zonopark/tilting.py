@@ -64,13 +64,17 @@ def _weight_sort_key(xi):
 
 
 def dominant_weights(m: int, n: int, tau) -> tuple[tuple[int, ...], ...]:
-    """Weights xi with xi + staircase a strictly decreasing member point."""
+    """Weights xi with xi + staircase a strictly decreasing member point.
+
+    The strictly decreasing members are scanned directly, so the cost grows
+    with the table size A_n(m, 1), not with the number of weakly
+    decreasing representatives.
+    """
     spec = ZonotopeSpec(m, n, tau)
     steps = staircase(n)
     weights = [
         tuple(value - step for value, step in zip(point, steps))
-        for point in dominant_points(spec)
-        if all(a > b for a, b in zip(point, point[1:]))
+        for point in dominant_points(spec, strict=True)
     ]
     weights.sort(key=_weight_sort_key)
     return tuple(weights)

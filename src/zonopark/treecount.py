@@ -227,16 +227,19 @@ def composition_sum(n: int, x: int) -> Fraction:
     return total if n % 2 == 0 else -total
 
 
+VOLUME_BY_BASES_MAX_N = 6
+
+
 def volume_by_bases(m: int, n: int) -> int:
     """Lattice volume as the determinant-weighted count of vector bases.
 
     The generating multiset holds m copies of e_i - e_j for every pair
     j < i plus each e_i once; every n-element subset with nonzero
-    determinant contributes |det| (here always 1).  Guarded to n <= 6,
-    beyond which the subset count explodes.
+    determinant contributes |det| (here always 1).  Guarded to
+    n <= VOLUME_BY_BASES_MAX_N, beyond which the subset count explodes.
     """
-    if n > 6:
-        raise ValueError("volume_by_bases is limited to n <= 6")
+    if n > VOLUME_BY_BASES_MAX_N:
+        raise ValueError(f"volume_by_bases is limited to n <= {VOLUME_BY_BASES_MAX_N}")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     vectors: list[tuple[int, ...]] = []

@@ -35,6 +35,7 @@ from .tilting import (
     tilting_weights,
 )
 from .treecount import (
+    VOLUME_BY_BASES_MAX_N,
     build_graph,
     contract,
     contracted_count_closed_form,
@@ -300,7 +301,8 @@ class _Suite:
             spanning_tree_count(g) == count_lattice_points(spec),
         )
 
-        if n <= 4 or m <= 2:  # subset count explodes beyond this
+        # the subset count explodes beyond these sizes
+        if n <= VOLUME_BY_BASES_MAX_N and (n <= 4 or m <= 2):
             self.record(
                 "volume_by_bases_agrees",
                 params,

@@ -134,14 +134,17 @@ def scan_window(spec: ZonotopeSpec) -> tuple[int, int]:
     return math.floor(bounds.lower), math.ceil(bounds.upper)
 
 
-@lru_cache(maxsize=None)
-def _decreasing_members(spec: ZonotopeSpec) -> tuple[tuple[int, ...], ...]:
-    """All weakly decreasing member tuples (boundary included), in lex order.
+def _scan_decreasing(spec: ZonotopeSpec, gap: int) -> list[tuple[int, ...]]:
+    """Member tuples whose consecutive entries drop by at least ``gap``, lex order.
 
-    Since membership depends only on the sorted coordinate multiset, these
-    are exactly the sorted representatives of all member points; the scan
-    covers the full window coordinate-by-coordinate, pruned by the partial
-    top-sum and total-sum constraints.
+    ``gap=0`` gives the weakly decreasing members and ``gap=1`` the strictly
+    decreasing ones (boundary included either way).  Membership depends only
+    on the sorted coordinate multiset, so the weak scan yields exactly the
+    sorted representatives of all member points.  The scan fixes one
+    coordinate at a time, pruned by the partial top-sum constraint and by
+    the largest and smallest total the remaining coordinates can still
+    reach under the gap, so a strict scan never descends into a weakly
+    decreasing branch.
     """
     n = spec.n
     lo1, hi1 = scan_window(spec)
@@ -163,25 +166,42 @@ def _decreasing_members(spec: ZonotopeSpec) -> tuple[tuple[int, ...], ...]:
                 out.append(tuple(prefix))
             return
         remaining = n - depth - 1
-        for value in range(lo1, last + 1):
+        # the remaining entries step down from value by at least gap each,
+        # and the smallest of them is still at least lo1
+        tail_drop = gap * remaining * (remaining + 1) // 2
+        tail_floor = remaining * lo1 + gap * remaining * (remaining - 1) // 2
+        for value in range(lo1 + gap * remaining, last + 1 - gap):
             total = prefix_sum + value
-            # entries are weakly decreasing, so the prefix is the top-k sum
+            # entries are decreasing, so the prefix is the top-k sum
             if total > up_floor[depth + 1]:
                 break
-            if total + remaining * value < lo_ceil[n]:
+            if total + remaining * value - tail_drop < lo_ceil[n]:
                 continue
-            if total + remaining * lo1 > up_floor[n]:
+            if total + tail_floor > up_floor[n]:
                 break
             prefix.append(value)
             scan(depth + 1, total, value)
             prefix.pop()
 
-    scan(0, 0, hi1)
-    return tuple(out)
+    scan(0, 0, hi1 + gap)
+    return out
 
 
-def dominant_points(spec: ZonotopeSpec) -> list[tuple[int, ...]]:
-    """The weakly decreasing member points, in lexicographic order."""
+@lru_cache(maxsize=None)
+def _decreasing_members(spec: ZonotopeSpec) -> tuple[tuple[int, ...], ...]:
+    """All weakly decreasing member tuples, cached per spec for reuse."""
+    return tuple(_scan_decreasing(spec, 0))
+
+
+def dominant_points(spec: ZonotopeSpec, *, strict: bool = False) -> list[tuple[int, ...]]:
+    """The weakly (or, with ``strict``, strictly) decreasing member points, lex order.
+
+    The strict scan enumerates the regular dominant points directly, so its
+    cost grows with their number rather than with the number of weakly
+    decreasing representatives; it is not cached.
+    """
+    if strict:
+        return _scan_decreasing(spec, 1)
     return list(_decreasing_members(spec))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -136,6 +137,28 @@ def test_tilting_negative_t_value(capsys):
     code, out, _ = run_cli(capsys, "tilting", "--m", "2", "--n", "4", "--t", "-1/4")
     records = json_lines(out)
     assert sum(1 for r in records if r["kind"] == "weight") == 14
+
+
+# sha256 of the full stdout of each run, taken from the version that
+# filtered the weakly decreasing scan, so the direct strict scan must
+# reproduce every byte
+TILTING_OUTPUT_SHA256 = {
+    ("--m", "2", "--n", "8", "--t", "0", "--window", "low"):
+        "1b6ea79d062202f588f5bccd53a121dc55f6ab24010c601035c2f896edc4b2e2",
+    ("--m", "2", "--n", "8", "--t", "0", "--window", "high"):
+        "efe164dd003a583a14384d31709d86ac66012029aa9228c8a8409218b6af0c85",
+    ("--m", "2", "--n", "8", "--t", "-3/7"):
+        "06c3fc9b0042db61ddadf43168fb329e5b9f3c76965bd7f5c20a4f429cb72594",
+    ("--m", "3", "--n", "7", "--t", "-1/2"):
+        "a8eb77d1bf44686aa68e4e5497675b1d35d3cb7c19d8a6b61d1cf8641afb7f75",
+}
+
+
+@pytest.mark.parametrize("args", sorted(TILTING_OUTPUT_SHA256))
+def test_tilting_output_is_pinned(capsys, args):
+    code, out, err = run_cli(capsys, "tilting", *args)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == TILTING_OUTPUT_SHA256[args]
 
 
 def test_tilting_off_grid_exits_2(capsys):

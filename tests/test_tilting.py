@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -6,6 +7,7 @@ from zonopark.orbits import is_regular
 from zonopark.parking import fuss_catalan
 from zonopark.scalars import EpsRational
 from zonopark.tilting import (
+    WINDOWS,
     color_blocks,
     color_window_start,
     dominant_weights,
@@ -133,9 +135,9 @@ def test_m1_colors_stay_inside_window():
 
 
 def test_staircase_shift_is_bijection_with_regular_dominant_points():
-    for m, n in [(2, 2), (2, 3), (3, 3), (2, 4)]:
-        for t in t_grid(n):
-            table = tilting_weights(m, n, t)
+    for m, n in [(2, 2), (2, 3), (3, 3), (2, 4), (1, 5), (3, 5), (2, 6)]:
+        for t, window in product(t_grid(n), WINDOWS):
+            table = tilting_weights(m, n, t, window)
             steps = staircase(n)
             lifted = {tuple(w + s for w, s in zip(xi, steps)) for xi in table.weights}
             spec = ZonotopeSpec(m, n, table.tau)
@@ -157,3 +159,10 @@ def test_weight_translation_by_integer_shift():
             base = dominant_weights(m, n, tau)
             shifted = dominant_weights(m, n, tau + 2)
             assert shifted == tuple(tuple(c + 2 for c in w) for w in base)
+
+
+def test_m2_n12_table_is_fuss_catalan_in_twelve_colors():
+    table = tilting_weights(2, 12, 0)
+    assert len(table.weights) == fuss_catalan(2, 12) == 208_012
+    u = color_window_start(2, 12, 0)
+    assert [b.color for b in color_blocks(table)] == list(range(u, u + 12))

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zonopark.scalars import EpsRational, parse_scalar
 from zonopark.verify import admissible_taus, inadmissible_taus, sample_taus
@@ -175,6 +176,24 @@ def test_count_matches_enumeration_on_grid():
             for tau in sample_taus(m, n, 2):
                 spec = ZonotopeSpec(m, n, tau)
                 assert count_lattice_points(spec) == len(enumerate_lattice_points(spec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=1, max_value=6),
+    offset=st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    eps=st.integers(min_value=-1, max_value=1),
+)
+@example(m=3, n=6, offset=Fraction(0), eps=0)
+@example(m=2, n=5, offset=Fraction(2, 5), eps=0)
+def test_strict_dominant_points_are_strictly_decreasing_members(m, n, offset, eps):
+    # offsets with denominator <= n and eps = 0 give inadmissible shifts,
+    # whose boundary points both scans must keep
+    spec = ZonotopeSpec(m, n, EpsRational(Fraction(m * (n - 1), 2) + offset, eps))
+    weak = dominant_points(spec)
+    expected = [p for p in weak if all(a > b for a, b in zip(p, p[1:]))]
+    assert dominant_points(spec, strict=True) == expected
 
 
 def test_degenerate_n1():
