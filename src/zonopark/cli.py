@@ -5,8 +5,10 @@ followed by any record-specific fields and a ``payload``.  Output contains
 integers, strings and nulls only; never floating point.  Identical
 arguments always produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 admissibility violation.
+Records are written as they are made, so an error can end the output
+after some records.  Exit codes: 0 success, 1 verification failure,
+2 usage or parse error, 3 admissibility violation, 4 internal error (any
+other exception, reported as ``error: internal: ...`` and a traceback).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .orbits import normalize_partition
@@ -22,7 +25,7 @@ from .scalars import parse_scalar
 from .tilting import color_blocks, t_grid, tilting_weights
 from .treecount import build_graph, contract, regular_orbit_count_mobius, spanning_tree_count
 from .verify import DEFAULT_SEED, run_checks
-from .zonotope import NotAdmissibleError, ZonotopeSpec, enumerate_lattice_points, is_admissible
+from .zonotope import NotAdmissibleError, ZonotopeSpec, enumerate_lattice_points
 
 
 class UsageError(ValueError):
@@ -43,9 +46,22 @@ def _parse_tau(text: str):
         raise UsageError(str(exc)) from None
 
 
-def _require_admissible(m: int, n: int, tau):
-    if not is_admissible(m, n, tau):
-        raise NotAdmissibleError(f"tau = {tau} is not admissible for m={m}, n={n}")
+def _admissible_spec(args) -> ZonotopeSpec:
+    spec = ZonotopeSpec(args.m, args.n, _parse_tau(args.tau))
+    if not spec.is_admissible():
+        raise NotAdmissibleError(
+            f"tau = {spec.tau} is not admissible for m={args.m}, n={args.n}"
+        )
+    return spec
+
+
+def _counted(records, m, n, tau):
+    """Yield each record, then a summary record holding their count."""
+    count = 0
+    for record in records:
+        count += 1
+        yield record
+    yield _record("summary", m, n, tau, {"count": count})
 
 
 def _parse_partition(text: str, n: int):
@@ -64,47 +80,51 @@ def _partition_text(blocks) -> str:
 
 
 # -- command handlers -------------------------------------------------------
+#
+# Streaming commands check their arguments before returning a lazy record
+# iterator, so usage and admissibility errors arrive before any output.
 
 
 def _cmd_enumerate(args):
-    tau = _parse_tau(args.tau)
-    _require_admissible(args.m, args.n, tau)
-    spec = ZonotopeSpec(args.m, args.n, tau)
+    spec = _admissible_spec(args)
     tau_text = str(spec.tau)
-    records = [
+    records = (
         _record("point", args.m, args.n, tau_text, list(point))
         for point in enumerate_lattice_points(spec)
-    ]
-    records.append(_record("summary", args.m, args.n, tau_text, {"count": len(records)}))
-    return records, 0
+    )
+    return _counted(records, args.m, args.n, tau_text), 0
 
 
 def _cmd_bijection(args):
-    tau = _parse_tau(args.tau)
-    _require_admissible(args.m, args.n, tau)
-    spec = ZonotopeSpec(args.m, args.n, tau)
+    spec = _admissible_spec(args)
     tau_text = str(spec.tau)
-    records = []
-    for point in enumerate_lattice_points(spec):
-        pf = lattice_to_parking(point, spec)
-        payload = {"lattice": list(point), "parking": list(pf)}
-        records.append(_record("pair", args.m, args.n, tau_text, payload))
-    records.append(_record("summary", args.m, args.n, tau_text, {"count": len(records)}))
-    return records, 0
+    records = (
+        _record(
+            "pair",
+            args.m,
+            args.n,
+            tau_text,
+            {"lattice": list(point), "parking": list(lattice_to_parking(point, spec))},
+        )
+        for point in enumerate_lattice_points(spec)
+    )
+    return _counted(records, args.m, args.n, tau_text), 0
 
 
 def _cmd_parking(args):
-    functions = enumerate_parking_functions(args.m, args.n)
-    records = [_record("parking", args.m, args.n, None, list(a)) for a in functions]
-    records.append(_record("summary", args.m, args.n, None, {"count": len(functions)}))
-    return records, 0
+    records = (
+        _record("parking", args.m, args.n, None, list(a))
+        for a in enumerate_parking_functions(args.m, args.n)
+    )
+    return _counted(records, args.m, args.n, None), 0
 
 
 def _cmd_dyck(args):
-    paths = enumerate_dyck_paths(args.m, args.n)
-    records = [_record("dyck", args.m, args.n, None, list(a)) for a in paths]
-    records.append(_record("summary", args.m, args.n, None, {"count": len(paths)}))
-    return records, 0
+    records = (
+        _record("dyck", args.m, args.n, None, list(a))
+        for a in enumerate_dyck_paths(args.m, args.n)
+    )
+    return _counted(records, args.m, args.n, None), 0
 
 
 def _cmd_catalan(args):
@@ -198,9 +218,19 @@ def _emit(records, fmt: str, out) -> None:
 # -- parser -----------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_mn(parser: argparse.ArgumentParser):
-    parser.add_argument("--m", type=int, required=True, help="edge multiplicity m >= 1")
-    parser.add_argument("--n", type=int, required=True, help="dimension n >= 1")
+    parser.add_argument("--m", type=_positive_int, required=True, help="edge multiplicity m >= 1")
+    parser.add_argument("--n", type=_positive_int, required=True, help="dimension n >= 1")
     parser.add_argument(
         "--format", choices=("json", "tsv"), default="json", help="output format"
     )
@@ -293,16 +323,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(_fuse_flag_values(raw))
     try:
         records, code = args.handler(args)
+        _emit(records, args.format, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotAdmissibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(records, args.format, sys.stdout)
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
     return code
 
 

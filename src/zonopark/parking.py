@@ -1,63 +1,68 @@
 """Parking functions, Dyck paths and the lattice-point correspondence.
 
 Integer points of the admissible shifted zonotope biject with (m, n)-parking
-functions: both inject into the quotient of Z^n by the tiling lattice
-``(mn+1)Z^n + Z(1,...,1)`` and hit every class exactly once.  The quotient
-class of a point is canonicalized by subtracting its last coordinate from
-every entry and reducing modulo mn+1, so class representatives are the
-(mn+1)^(n-1) residue vectors ending in 0.
+functions: both are fundamental domains of the tiling lattice
+``(mn+1)Z^n + Z(1,...,1)``, so each class of the quotient holds exactly one
+of each.  The map between them is a single cyclic shift
+``x -> (x - s*1) mod (mn+1)``, with ``s`` found by Pollak's cyclic argument
+and no lookup table: sort the residues r_0 <= ... <= r_{n-1} of x; the
+shift that makes a parking function is ``s = r_k`` for the first k that
+maximizes ``r_k - m*k``.  A query costs O(n log n).  The inverse tries the
+mn+1 shifts of a parking function, lifts each into the window of
+coordinates a member can have, and keeps the one lift in the zonotope.
+The quotient class of a point is canonicalized by subtracting its last
+coordinate from every entry and reducing modulo mn+1, so class
+representatives are the (mn+1)^(n-1) residue vectors ending in 0.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from functools import lru_cache
-from itertools import product
 
-from .zonotope import (
-    Location,
-    NotAdmissibleError,
-    ZonotopeSpec,
-    contains,
-    enumerate_lattice_points,
-)
+from .orbits import orbit_of
+from .zonotope import Location, NotAdmissibleError, ZonotopeSpec, contains
 
 
 def is_parking_function(values, m: int, n: int) -> bool:
     """True iff the weakly increasing rearrangement a satisfies a_j <= m(j-1)."""
-    values = tuple(values)
-    if len(values) != n:
-        return False
-    if any(v < 0 for v in values):
-        return False
-    return all(v <= m * j for j, v in enumerate(sorted(values)))
+    ascending = sorted(values)
+    return len(ascending) == n and all(0 <= v <= m * j for j, v in enumerate(ascending))
+
+
+def _increasing_under(n: int, slope: int) -> list[tuple[int, ...]]:
+    """Weakly increasing a with 0 <= a_j <= slope*(j-1), in lexicographic order."""
+    sequences: list[tuple[int, ...]] = []
+    sequence: list[int] = []
+
+    def extend(j: int):
+        if j == n:
+            sequences.append(tuple(sequence))
+            return
+        start = sequence[-1] if sequence else 0
+        for value in range(start, slope * j + 1):
+            sequence.append(value)
+            extend(j + 1)
+            sequence.pop()
+
+    extend(0)
+    return sequences
 
 
 def enumerate_parking_functions(m: int, n: int) -> list[tuple[int, ...]]:
-    """All (m, n)-parking functions in lexicographic order."""
-    window = range(m * (n - 1) + 1)
-    return [a for a in product(window, repeat=n) if is_parking_function(a, m, n)]
+    """All (m, n)-parking functions in lexicographic order.
+
+    The weakly increasing parking functions are generated directly, and the
+    lex-ordered orbits of their coordinate permutations are merged.
+    """
+    return list(heapq.merge(*map(orbit_of, _increasing_under(n, m))))
 
 
 def enumerate_dyck_paths(m: int, n: int) -> list[tuple[int, ...]]:
     """Weakly increasing a with a_j <= (m-1)(j-1), in lexicographic order."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    paths: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def extend(j: int):
-        if j == n:
-            paths.append(tuple(path))
-            return
-        start = path[-1] if path else 0
-        for value in range(start, (m - 1) * j + 1):
-            path.append(value)
-            extend(j + 1)
-            path.pop()
-
-    extend(0)
-    return paths
+    return _increasing_under(n, m - 1)
 
 
 def fuss_catalan(m: int, n: int) -> int:
@@ -81,32 +86,6 @@ def canonical_class(x, m: int, n: int) -> tuple[int, ...]:
     return tuple((value - last) % modulus for value in x)
 
 
-@lru_cache(maxsize=None)
-def _parking_by_class(m: int, n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    index: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for a in enumerate_parking_functions(m, n):
-        key = canonical_class(a, m, n)
-        if key in index:
-            raise RuntimeError("parking functions must have distinct classes")
-        index[key] = a
-    if len(index) != (m * n + 1) ** (n - 1):
-        raise RuntimeError("parking functions must hit every class")
-    return index
-
-
-@lru_cache(maxsize=None)
-def _lattice_by_class(spec: ZonotopeSpec) -> dict[tuple[int, ...], tuple[int, ...]]:
-    if not spec.is_admissible():
-        raise NotAdmissibleError(f"tau = {spec.tau} is not admissible")
-    index: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for x in enumerate_lattice_points(spec):
-        key = canonical_class(x, spec.m, spec.n)
-        if key in index:
-            raise RuntimeError("lattice points must have distinct classes")
-        index[key] = x
-    return index
-
-
 def lattice_to_parking(x, spec: ZonotopeSpec) -> tuple[int, ...]:
     """The unique parking function in the same quotient class as x."""
     if not spec.is_admissible():
@@ -114,7 +93,16 @@ def lattice_to_parking(x, spec: ZonotopeSpec) -> tuple[int, ...]:
     x = tuple(x)
     if contains(spec, x) is Location.OUTSIDE:
         raise ValueError(f"{x} is not a lattice point of the zonotope")
-    return _parking_by_class(spec.m, spec.n)[canonical_class(x, spec.m, spec.n)]
+    m, n = spec.m, spec.n
+    modulus = m * n + 1
+    residues = sorted(value % modulus for value in x)
+    excess = [r - m * k for k, r in enumerate(residues)]
+    # the cyclic lemma picks the first maximizer, which index() returns
+    shift = residues[excess.index(max(excess))]
+    values = tuple((value - shift) % modulus for value in x)
+    if not is_parking_function(values, m, n):
+        raise RuntimeError(f"the cyclic shift of {x} is not a parking function: {values}")
+    return values
 
 
 def parking_to_lattice(values, spec: ZonotopeSpec) -> tuple[int, ...]:
@@ -122,8 +110,22 @@ def parking_to_lattice(values, spec: ZonotopeSpec) -> tuple[int, ...]:
     values = tuple(values)
     if not is_parking_function(values, spec.m, spec.n):
         raise ValueError(f"{values} is not an ({spec.m}, {spec.n})-parking function")
-    index = _lattice_by_class(spec)
-    return index[canonical_class(values, spec.m, spec.n)]
+    if not spec.is_admissible():
+        raise NotAdmissibleError(f"tau = {spec.tau} is not admissible")
+    n = spec.n
+    modulus = spec.m * n + 1
+    # every coordinate of a member lies in [low, low + mn], where each
+    # residue has exactly one lift
+    low = spec.lo_ceil[1]
+    lo_sum, up_sum = spec.lo_ceil[n], spec.up_floor[n]
+    found = []
+    for shift in range(modulus):
+        lift = tuple(low + (value - shift - low) % modulus for value in values)
+        if lo_sum <= sum(lift) <= up_sum and contains(spec, lift) is not Location.OUTSIDE:
+            found.append(lift)
+    if len(found) != 1:
+        raise RuntimeError(f"{len(found)} lattice points in the class of {values}")
+    return found[0]
 
 
 def orbit_to_dyck(rep) -> tuple[int, ...]:

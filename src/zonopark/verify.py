@@ -174,8 +174,9 @@ class _Suite:
 
         ok = True
         detail = ""
+        spec = ZonotopeSpec(m, n, EpsRational(0, -1))
         for k in range(1, n + 1):
-            bounds = support_bounds(ZonotopeSpec(m, n, EpsRational(0, -1)), k)
+            bounds = support_bounds(spec, k)
             if bounds.upper - bounds.lower != m * k * (n - k) + k:
                 ok, detail = False, f"width wrong at k={k}"
         self.record("support_width", params, ok, detail)

@@ -14,7 +14,7 @@ constraints; the shift tau may carry an infinitesimal component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -35,19 +35,46 @@ class NotAdmissibleError(ValueError):
 
 @dataclass(frozen=True)
 class ZonotopeSpec:
-    """The triple (m, n, tau) defining the shifted zonotope."""
+    """The triple (m, n, tau) defining the shifted zonotope.
+
+    Construction also fixes the per-k integer thresholds for membership of
+    integer points and the admissibility flag, so that queries never go
+    back to exact ``EpsRational`` arithmetic.  For an integer sum T,
+    ``T > upper`` iff ``T > floor(upper)``, and ``T == upper`` is only
+    possible when ``upper`` is itself an integer; dually for the lower
+    bounds.  ``lo_ceil``, ``lo_tight``, ``up_floor`` and ``up_tight`` are
+    indexed by k (index 0 unused).  They are derived from (m, n, tau), so
+    equality and hashing ignore them.
+    """
 
     m: int
     n: int
     tau: EpsRational
+    lo_ceil: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    lo_tight: tuple[bool, ...] = field(init=False, compare=False, repr=False)
+    up_floor: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    up_tight: tuple[bool, ...] = field(init=False, compare=False, repr=False)
+    admissible: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive integers")
         object.__setattr__(self, "tau", as_eps_rational(self.tau))
+        lo_ceil, lo_tight, up_floor, up_tight = [0], [False], [0], [False]
+        for k in range(1, self.n + 1):
+            bounds = support_bounds(self, k)
+            lo_ceil.append(math.ceil(bounds.lower))
+            lo_tight.append(bounds.lower.is_integer())
+            up_floor.append(math.floor(bounds.upper))
+            up_tight.append(bounds.upper.is_integer())
+        object.__setattr__(self, "lo_ceil", tuple(lo_ceil))
+        object.__setattr__(self, "lo_tight", tuple(lo_tight))
+        object.__setattr__(self, "up_floor", tuple(up_floor))
+        object.__setattr__(self, "up_tight", tuple(up_tight))
+        object.__setattr__(self, "admissible", is_admissible(self.m, self.n, self.tau))
 
     def is_admissible(self) -> bool:
-        return is_admissible(self.m, self.n, self.tau)
+        return self.admissible
 
 
 @dataclass(frozen=True)
@@ -84,35 +111,13 @@ def is_admissible(m: int, n: int, tau) -> bool:
     return (tau.base - Fraction(m * (n - 1), 2)).denominator > n
 
 
-@lru_cache(maxsize=None)
-def _integer_bounds(spec: ZonotopeSpec):
-    """Per-k integer thresholds for membership of integer points.
-
-    For an integer sum T:  T > upper  iff  T > floor(upper), and
-    T == upper is only possible when upper is itself an integer; dually for
-    the lower bounds.  Returns (lo_ceil, lo_tight, up_floor, up_tight),
-    each indexed by k (index 0 unused).
-    """
-    n = spec.n
-    lo_ceil = [0] * (n + 1)
-    up_floor = [0] * (n + 1)
-    lo_tight = [False] * (n + 1)
-    up_tight = [False] * (n + 1)
-    for k in range(1, n + 1):
-        bounds = support_bounds(spec, k)
-        lo_ceil[k] = math.ceil(bounds.lower)
-        up_floor[k] = math.floor(bounds.upper)
-        lo_tight[k] = bounds.lower.is_integer()
-        up_tight[k] = bounds.upper.is_integer()
-    return lo_ceil, lo_tight, up_floor, up_tight
-
-
 def contains(spec: ZonotopeSpec, x) -> Location:
     """Classify an integer point as interior, boundary or outside."""
     x = tuple(x)
     if len(x) != spec.n:
         raise ValueError(f"expected a point of length {spec.n}, got {len(x)}")
-    lo_ceil, lo_tight, up_floor, up_tight = _integer_bounds(spec)
+    lo_ceil, lo_tight = spec.lo_ceil, spec.lo_tight
+    up_floor, up_tight = spec.up_floor, spec.up_tight
     ascending = sorted(x)
     n = spec.n
     top = 0
@@ -148,7 +153,7 @@ def _scan_decreasing(spec: ZonotopeSpec, gap: int) -> list[tuple[int, ...]]:
     """
     n = spec.n
     lo1, hi1 = scan_window(spec)
-    lo_ceil, _, up_floor, _ = _integer_bounds(spec)
+    lo_ceil, up_floor = spec.lo_ceil, spec.up_floor
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 

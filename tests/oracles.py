@@ -2,26 +2,38 @@
 
 Nothing here shares code with the library paths it checks: membership is
 re-derived from the full subset-sum half-space description and (for n = 2)
-from an exact convex-hull vertex description; spanning trees are counted by
-raw edge-subset enumeration.
+from an exact convex-hull vertex description; the lattice-point /
+parking-function bijection is rebuilt as class tables from the full-window
+scan and from every vector filtered by the parking condition; spanning
+trees are counted by raw edge-subset enumeration.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
 from zonopark.scalars import as_eps_rational
 
 
-def subset_location(m: int, n: int, tau, x) -> str:
-    """Classify x against every subset-sum constraint (exact, eps-aware)."""
+def _subset_bounds(m: int, n: int, tau):
+    """(k, lower, upper) for every subset size k, exact and eps-aware.
+
+    Listed from k = n down: the single full-sum constraint rejects most of
+    a scan window at once, and the order does not change any location.
+    """
     tau = as_eps_rational(tau)
-    tight = False
-    for k in range(1, n + 1):
+    bounds = []
+    for k in range(n, 0, -1):
         half = Fraction(m * k * (n - k), 2)
-        upper = tau * k + (half + k)
-        lower = tau * k - half
+        bounds.append((k, tau * k - half, tau * k + (half + k)))
+    return bounds
+
+
+def _locate(bounds, n: int, x) -> str:
+    tight = False
+    for k, lower, upper in bounds:
         for subset in combinations(range(n), k):
             s = sum(x[i] for i in subset)
             if s > upper or s < lower:
@@ -31,14 +43,55 @@ def subset_location(m: int, n: int, tau, x) -> str:
     return "boundary" if tight else "interior"
 
 
+def subset_location(m: int, n: int, tau, x) -> str:
+    """Classify x against every subset-sum constraint (exact, eps-aware)."""
+    return _locate(_subset_bounds(m, n, tau), n, x)
+
+
 def grid_points(m: int, n: int, tau, window) -> list[tuple[int, ...]]:
     """Full-window scan filtered by the subset-sum oracle."""
     lo, hi = window
+    bounds = _subset_bounds(m, n, tau)
     return [
         x
         for x in product(range(lo, hi + 1), repeat=n)
-        if subset_location(m, n, tau, x) != "outside"
+        if _locate(bounds, n, x) != "outside"
     ]
+
+
+def coordinate_window(m: int, n: int, tau) -> tuple[int, int]:
+    """Integer range holding every coordinate of a member: the k = 1 bounds."""
+    tau = as_eps_rational(tau)
+    half = Fraction(m * (n - 1), 2)
+    return math.floor(tau - half), math.ceil(tau + (half + 1))
+
+
+def parking_functions_brute(m: int, n: int) -> list[tuple[int, ...]]:
+    """(m, n)-parking functions by filtering every vector over 0..m(n-1)."""
+    return [
+        a
+        for a in product(range(m * (n - 1) + 1), repeat=n)
+        if all(v <= m * j for j, v in enumerate(sorted(a)))
+    ]
+
+
+def bijection_tables(m: int, n: int, tau):
+    """The lattice-point / parking-function bijection as two lookup tables.
+
+    Pairs each grid point of the zonotope with the parking function in its
+    class of Z^n / ((mn+1)Z^n + Z(1,...,1)); the class of v is v minus its
+    last coordinate, reduced modulo mn+1.
+    """
+    modulus = m * n + 1
+
+    def class_of(v):
+        return tuple((value - v[-1]) % modulus for value in v)
+
+    parking = {class_of(a): a for a in parking_functions_brute(m, n)}
+    points = grid_points(m, n, tau, coordinate_window(m, n, tau))
+    forward = {x: parking[class_of(x)] for x in points}
+    backward = {a: x for x, a in forward.items()}
+    return forward, backward
 
 
 def _cross(o, a, b):
@@ -122,6 +175,4 @@ def spanning_trees_brute(graph) -> int:
 
 def falling_factorial_form(n: int, x: int) -> Fraction:
     """(x-1)(x-2)...(x-(n-1)) / n!"""
-    import math
-
     return Fraction(math.prod(x - j for j in range(1, n)), math.factorial(n))

@@ -161,6 +161,71 @@ def test_tilting_output_is_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == TILTING_OUTPUT_SHA256[args]
 
 
+# sha256 of the full stdout of each run, taken from the version that looked
+# the bijection up in per-class tables and filtered every candidate parking
+# function, so the cyclic-shift map and the orbit merge must reproduce them
+STREAM_OUTPUT_SHA256 = {
+    ("bijection", "--m", "3", "--n", "5", "--tau", "53/8"):
+        "2340e829d7b77156371024ee5879731a282d877e481ee9dbb797ca00eaf046bf",
+    ("bijection", "--m", "2", "--n", "4", "--tau", "3-eps"):
+        "b66a17b48f6b986b1471cb0c28397b32bafda9dfb73b0126c4413e06ed4142f3",
+    ("bijection", "--m", "1", "--n", "5", "--tau", "2+eps", "--format", "tsv"):
+        "6bd4bb623fa298ed9084e45581c48fb618c797ec1b2f000e97f995ac26ab96c6",
+    ("parking", "--m", "2", "--n", "5"):
+        "88690747f371590686058d4657e25a6a3a3397515f781e473c470abc185f875b",
+    ("parking", "--m", "3", "--n", "4", "--format", "tsv"):
+        "6412f8a68fda9995e948e5c14ce0f44cd90da60c43db2d953f4795797aca3212",
+}
+
+
+@pytest.mark.parametrize("args", sorted(STREAM_OUTPUT_SHA256))
+def test_stream_output_is_pinned(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == STREAM_OUTPUT_SHA256[args]
+
+
+def test_bijection_output_does_not_rest_on_asserts():
+    args = ("bijection", "--m", "2", "--n", "4", "--tau", "3-eps")
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "zonopark.cli", *args], capture_output=True, check=True
+    )
+    assert hashlib.sha256(done.stdout).hexdigest() == STREAM_OUTPUT_SHA256[args]
+
+
+@pytest.mark.parametrize("error", [RuntimeError("broken invariant"), ValueError("bare")])
+def test_internal_error_exits_4(capsys, monkeypatch, error):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr("zonopark.cli._cmd_catalan", failing)
+    code, out, err = run_cli(capsys, "catalan", "--m", "2", "--n", "4")
+    assert code == 4 and out == ""
+    assert err.startswith("error: internal: ") and str(error) in err
+
+
+def test_error_mid_stream_exits_4(capsys, monkeypatch):
+    def failing_pair(point, spec):
+        if point == (2, 0):
+            raise RuntimeError("no parking function")
+        return (0, 0)
+
+    monkeypatch.setattr("zonopark.cli.lattice_to_parking", failing_pair)
+    code, out, err = run_cli(capsys, "bijection", "--m", "2", "--n", "2", "--tau", "1-eps")
+    assert code == 4
+    # the records before the failing point were already written
+    assert [r["payload"]["lattice"] for r in json_lines(out)] == [[0, 2], [1, 1], [1, 2]]
+    assert err.startswith("error: internal: RuntimeError: no parking function")
+
+
+@pytest.mark.parametrize("mn", [("--m", "0", "--n", "4"), ("--m", "2", "--n", "0")])
+def test_nonpositive_m_or_n_is_a_usage_error(capsys, mn):
+    with pytest.raises(SystemExit) as info:
+        main(["catalan", *mn])
+    assert info.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_tilting_off_grid_exits_2(capsys):
     code, out, err = run_cli(capsys, "tilting", "--m", "2", "--n", "2", "--t", "-1/3")
     assert code == 2 and out == ""

@@ -1,7 +1,12 @@
+import functools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
 
 from zonopark.orbits import regular_orbit_reps
 from zonopark.parking import (
@@ -14,7 +19,7 @@ from zonopark.parking import (
     orbit_to_dyck,
     parking_to_lattice,
 )
-from zonopark.scalars import parse_scalar
+from zonopark.scalars import EpsRational, parse_scalar
 from zonopark.verify import sample_taus
 from zonopark.zonotope import NotAdmissibleError, ZonotopeSpec, enumerate_lattice_points
 
@@ -161,3 +166,58 @@ def test_regular_orbit_count_equals_fuss_catalan():
         for tau in sample_taus(m, n, 2):
             points = enumerate_lattice_points(ZonotopeSpec(m, n, tau))
             assert len(regular_orbit_reps(points)) == fuss_catalan(m, n)
+
+
+def _breakpoints(n):
+    """The rational offsets in [0, 1] with denominator <= n."""
+    return sorted({Fraction(p, q) for q in range(1, n + 1) for p in range(q + 1)})
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_tables(m, n, tau):
+    return oracles.bijection_tables(m, n, tau)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=1, max_value=4),
+    window=st.integers(min_value=0, max_value=10),
+    shape=st.sampled_from(["midpoint", "-eps", "+eps"]),
+    x_offsets=st.lists(st.integers(-2, 13), min_size=4, max_size=4),
+    a=st.lists(st.integers(-1, 13), min_size=4, max_size=4),
+)
+@example(m=3, n=4, window=5, shape="midpoint", x_offsets=[0, 0, 0, 0], a=[0, 4, 9, 0])
+@example(m=3, n=4, window=0, shape="-eps", x_offsets=[5, 4, 4, 5], a=[3, 0, 10, 1])
+def test_cyclic_shift_maps_agree_with_class_tables(m, n, window, shape, x_offsets, a):
+    center = Fraction(m * (n - 1), 2)
+    breaks = _breakpoints(n)
+    i = window % (len(breaks) - 1)
+    if shape == "midpoint":
+        tau = EpsRational(center + (breaks[i] + breaks[i + 1]) / 2)
+    else:
+        tau = EpsRational(center + breaks[i], -1 if shape == "-eps" else 1)
+    spec = ZonotopeSpec(m, n, tau)
+    forward, backward = _oracle_tables(m, n, tau)
+    assert len(forward) == len(backward) == (m * n + 1) ** (n - 1)
+    for x, pf in forward.items():
+        assert lattice_to_parking(x, spec) == pf
+        assert parking_to_lattice(pf, spec) == x
+
+    lo, _ = oracles.coordinate_window(m, n, tau)
+    x = tuple(lo + d for d in x_offsets[:n])
+    if x not in forward:
+        with pytest.raises(ValueError):
+            lattice_to_parking(x, spec)
+    a = tuple(a[:n])
+    if a not in backward:
+        with pytest.raises(ValueError):
+            parking_to_lattice(a, spec)
+
+    # the breakpoint itself has denominator <= n, so it is not admissible
+    threshold = ZonotopeSpec(m, n, center + breaks[i])
+    some_point, some_parking = next(iter(forward.items()))
+    with pytest.raises(NotAdmissibleError):
+        lattice_to_parking(some_point, threshold)
+    with pytest.raises(NotAdmissibleError):
+        parking_to_lattice(some_parking, threshold)
