@@ -54,6 +54,7 @@ from .treecount import (
     enumerate_partitions,
     laplacian,
     mobius,
+    partition_types,
     refines,
     regular_orbit_count_mobius,
     spanning_tree_count,

@@ -8,13 +8,16 @@ arguments always produce byte-identical output.
 Records are written as they are made, so an error can end the output
 after some records.  Exit codes: 0 success, 1 verification failure,
 2 usage or parse error, 3 admissibility violation, 4 internal error (any
-other exception, reported as ``error: internal: ...`` and a traceback).
+other exception, reported as ``error: internal: ...`` and a traceback),
+141 (128 + SIGPIPE) when the reader closes stdout before the output ends,
+with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -324,12 +327,21 @@ def main(argv=None) -> int:
     try:
         records, code = args.handler(args)
         _emit(records, args.format, sys.stdout)
+        # a closed pipe must show here, not in the flush at interpreter exit
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotAdmissibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so
+        # the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)

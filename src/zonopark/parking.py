@@ -7,9 +7,11 @@ of each.  The map between them is a single cyclic shift
 ``x -> (x - s*1) mod (mn+1)``, with ``s`` found by Pollak's cyclic argument
 and no lookup table: sort the residues r_0 <= ... <= r_{n-1} of x; the
 shift that makes a parking function is ``s = r_k`` for the first k that
-maximizes ``r_k - m*k``.  A query costs O(n log n).  The inverse tries the
-mn+1 shifts of a parking function, lifts each into the window of
-coordinates a member can have, and keeps the one lift in the zonotope.
+maximizes ``r_k - m*k``.  A query costs O(n log n).  The inverse lifts a
+shifted parking function into the window of coordinates a member can have
+and keeps the one lift in the zonotope.  A lift's coordinate sum fixes the
+shift modulo mn+1, so only the at most n+1 shifts whose lift sum is a total
+a member can have are tried.
 The quotient class of a point is canonicalized by subtracting its last
 coordinate from every entry and reducing modulo mn+1, so class
 representatives are the (mn+1)^(n-1) residue vectors ending in 0.
@@ -117,11 +119,16 @@ def parking_to_lattice(values, spec: ZonotopeSpec) -> tuple[int, ...]:
     # every coordinate of a member lies in [low, low + mn], where each
     # residue has exactly one lift
     low = spec.lo_ceil[1]
-    lo_sum, up_sum = spec.lo_ceil[n], spec.up_floor[n]
+    # the lift shifted by s has coordinate sum == sum(values) - n*s
+    # (mod mn+1), and n is invertible mod mn+1, so each total a member can
+    # have fixes the one shift that could reach it
+    inverse = pow(n, -1, modulus)
+    value_sum = sum(values)
     found = []
-    for shift in range(modulus):
+    for total in range(spec.lo_ceil[n], spec.up_floor[n] + 1):
+        shift = (value_sum - total) * inverse % modulus
         lift = tuple(low + (value - shift - low) % modulus for value in values)
-        if lo_sum <= sum(lift) <= up_sum and contains(spec, lift) is not Location.OUTSIDE:
+        if sum(lift) == total and contains(spec, lift) is not Location.OUTSIDE:
             found.append(lift)
     if len(found) != 1:
         raise RuntimeError(f"{len(found)} lattice points in the class of {values}")

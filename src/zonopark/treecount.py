@@ -7,15 +7,17 @@ counted exactly by a Laplacian cofactor (Kirchhoff), evaluated with
 fraction-free integer elimination so every intermediate value stays an
 arbitrary-precision integer.  Contracting the non-ground vertices along a
 set partition and applying Mobius inversion on the partition lattice turns
-these counts into the number of regular coordinate-permutation orbits.
+these counts into the number of regular coordinate-permutation orbits; the
+inversion is summed over block-size types, since both the Mobius value and
+the contracted tree count depend only on the block sizes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -137,7 +139,6 @@ def contracted_count_closed_form(m: int, n: int, partition) -> int:
     return math.prod(len(b) for b in blocks) * (m * n + 1) ** (t - 1)
 
 
-@lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All set partitions of {1, ..., n} in canonical (lexicographic) order."""
     if n < 1:
@@ -183,19 +184,56 @@ def mobius(partition) -> int:
     return value if (n - len(blocks)) % 2 == 0 else -value
 
 
+def partition_types(n: int) -> Iterator[tuple[Partition, int]]:
+    """One canonical set partition per block-size type, with the type's size.
+
+    For each integer partition lambda_1 >= lambda_2 >= ... of n, yields the
+    set partition {1..lambda_1}, {lambda_1+1..lambda_1+lambda_2}, ... and
+    the number n! / (prod lambda_i! * prod_j mult_j!) of set partitions of
+    {1, ..., n} whose block sizes are lambda, where mult_j counts the parts
+    equal to j.  Types come in reverse lexicographic order of lambda.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    parts: list[int] = []
+
+    def split(rest: int, largest: int):
+        if rest == 0:
+            blocks = []
+            start = 1
+            for size in parts:
+                blocks.append(tuple(range(start, start + size)))
+                start += size
+            count = math.factorial(n) // (
+                math.prod(map(math.factorial, parts))
+                * math.prod(map(math.factorial, Counter(parts).values()))
+            )
+            yield tuple(blocks), count
+            return
+        for size in range(min(rest, largest), 0, -1):
+            parts.append(size)
+            yield from split(rest - size, size)
+            parts.pop()
+
+    yield from split(n, n)
+
+
 def regular_orbit_count_mobius(m: int, n: int) -> int:
     """Count of regular orbits by Mobius inversion over contracted tree counts.
 
-    Evaluates (1/n!) * sum over partitions S of
-    mobius(S) * #spanning trees(G/S) / prod |block|, exactly; the result is
-    asserted to be an integer.
+    Evaluates (1/n!) * sum over set partitions S of
+    mobius(S) * #spanning trees(G/S) / prod |block|, exactly.  Every term
+    depends only on the block sizes of S, so the sum runs over the p(n)
+    block-size types: one Kirchhoff cofactor per type, weighted by the
+    number of set partitions of that type.  A non-integral result raises
+    ArithmeticError.
     """
     g = build_graph(m, n)
     total = Fraction(0)
-    for partition in enumerate_partitions(n):
+    for partition, count in partition_types(n):
         trees = spanning_tree_count(contract(g, partition))
         weight = math.prod(len(b) for b in partition)
-        total += Fraction(mobius(partition) * trees, weight)
+        total += Fraction(count * mobius(partition) * trees, weight)
     total /= math.factorial(n)
     if total.denominator != 1:
         raise ArithmeticError(f"orbit count came out non-integral: {total}")
@@ -235,25 +273,30 @@ def volume_by_bases(m: int, n: int) -> int:
 
     The generating multiset holds m copies of e_i - e_j for every pair
     j < i plus each e_i once; every n-element subset with nonzero
-    determinant contributes |det| (here always 1).  Guarded to
+    determinant contributes |det| (here always 1).  A subset that repeats
+    a vector has determinant 0, so the sum runs over n-subsets of the
+    distinct vectors, each weighted by m^(number of e_i - e_j it holds):
+    the ways to pick one copy of each.  Guarded to
     n <= VOLUME_BY_BASES_MAX_N, beyond which the subset count explodes.
     """
     if n > VOLUME_BY_BASES_MAX_N:
         raise ValueError(f"volume_by_bases is limited to n <= {VOLUME_BY_BASES_MAX_N}")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    vectors: list[tuple[int, ...]] = []
+    # (vector, number of copies in the multiset)
+    vectors: list[tuple[tuple[int, ...], int]] = []
     for i in range(1, n + 1):
         for j in range(1, i):
             v = [0] * n
             v[i - 1] = 1
             v[j - 1] = -1
-            vectors.extend([tuple(v)] * m)
+            vectors.append((tuple(v), m))
     for i in range(n):
         e = [0] * n
         e[i] = 1
-        vectors.append(tuple(e))
+        vectors.append((tuple(e), 1))
     total = 0
     for subset in combinations(vectors, n):
-        total += abs(determinant(subset))
+        det = determinant([v for v, _ in subset])
+        total += abs(det) * math.prod(copies for _, copies in subset)
     return total

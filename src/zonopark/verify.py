@@ -118,6 +118,18 @@ class _Suite:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.results: list[CheckResult] = []
+        # (m, n), the spec at the first sampled shift and its lattice points
+        self._tau0: tuple[tuple[int, int], ZonotopeSpec, list[tuple[int, ...]]] | None = None
+
+    def tau0_lattice(self, m: int, n: int) -> tuple[ZonotopeSpec, list[tuple[int, ...]]]:
+        """The spec at the first sampled shift and its lattice points.
+
+        Several checks of one (m, n) read them, so the latest (m, n) is kept.
+        """
+        if self._tau0 is None or self._tau0[0] != (m, n):
+            spec = ZonotopeSpec(m, n, sample_taus(m, n)[0])
+            self._tau0 = ((m, n), spec, enumerate_lattice_points(spec))
+        return self._tau0[1], self._tau0[2]
 
     def record(self, name: str, params: dict, ok: bool, detail: str = ""):
         self.results.append(CheckResult(name=name, params=params, ok=ok, detail=detail))
@@ -207,9 +219,7 @@ class _Suite:
                 break
         self.record("inadmissible_has_boundary_point", params, ok, detail)
 
-        tau0 = sample_taus(m, n)[0]
-        spec = ZonotopeSpec(m, n, tau0)
-        points = enumerate_lattice_points(spec)
+        spec, points = self.tau0_lattice(m, n)
         ok = True
         detail = ""
         try:
@@ -218,7 +228,7 @@ class _Suite:
             ok, detail = False, str(exc)
         self.record("sn_invariance", params, ok, detail)
 
-        shifted = enumerate_lattice_points(ZonotopeSpec(m, n, tau0 + 1))
+        shifted = enumerate_lattice_points(ZonotopeSpec(m, n, spec.tau + 1))
         translated = sorted(tuple(c + 1 for c in p) for p in points)
         self.record("translation_law", params, shifted == translated)
 
@@ -227,9 +237,7 @@ class _Suite:
     def check_parking(self, m: int, n: int, permutations: int = 20):
         params = {"m": m, "n": n}
         expected = (m * n + 1) ** (n - 1)
-        tau0 = sample_taus(m, n)[0]
-        spec = ZonotopeSpec(m, n, tau0)
-        points = enumerate_lattice_points(spec)
+        spec, points = self.tau0_lattice(m, n)
         functions = enumerate_parking_functions(m, n)
 
         point_classes = {canonical_class(x, m, n) for x in points}
@@ -288,14 +296,15 @@ class _Suite:
             spanning_tree_count(g) == (n * m + 1) ** (n - 1),
         )
 
+        partitions = enumerate_partitions(n)
+        trees = [spanning_tree_count(contract(g, s)) for s in partitions]
         ok = all(
-            spanning_tree_count(contract(g, s)) == contracted_count_closed_form(m, n, s)
-            for s in enumerate_partitions(n)
+            count == contracted_count_closed_form(m, n, s)
+            for s, count in zip(partitions, trees)
         )
         self.record("contracted_closed_form", params, ok)
 
-        tau0 = sample_taus(m, n)[0]
-        spec = ZonotopeSpec(m, n, tau0)
+        spec, points = self.tau0_lattice(m, n)
         self.record(
             "tree_count_equals_lattice_count",
             params,
@@ -312,22 +321,20 @@ class _Suite:
 
         ok = True
         detail = ""
-        for s in enumerate_partitions(n):
+        for s, count in zip(partitions, trees):
             weight = math.prod(len(b) for b in s)
-            trees = spanning_tree_count(contract(g, s))
-            if trees != weight * count_invariant_points(spec, s):
+            if count != weight * count_invariant_points(spec, s):
                 ok, detail = False, f"invariant-count identity fails at {s}"
                 break
         self.record("invariant_point_identity", params, ok, detail)
 
-        histogram = Counter(stabilizer_partition(p) for p in enumerate_lattice_points(spec))
+        histogram = Counter(stabilizer_partition(p) for p in points)
         ok = True
         detail = ""
-        for s in enumerate_partitions(n):
+        for s, count in zip(partitions, trees):
             weight = math.prod(len(b) for b in s)
-            trees = spanning_tree_count(contract(g, s))
             total = sum(c for s2, c in histogram.items() if refines(s, s2))
-            if trees != weight * total:
+            if count != weight * total:
                 ok, detail = False, f"refinement identity fails at {s}"
                 break
         self.record("stabilizer_refinement_identity", params, ok, detail)

@@ -14,10 +14,12 @@ constraints; the shift tau may carry an infinitesimal component.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from .orbits import normalize_partition, orbit_of, orbit_size
 from .scalars import EpsRational, as_eps_rational
@@ -232,25 +234,37 @@ def has_boundary_lattice_point(spec: ZonotopeSpec) -> bool:
 
 
 def count_invariant_points(spec: ZonotopeSpec, partition) -> int:
-    """Number of member points constant on every block of the partition."""
+    """Number of member points (boundary included) constant on every block.
+
+    Such a point gives each block one value, and its sorted coordinates
+    are one of the weakly decreasing representatives.  So the count is,
+    summed over representatives, the number of ways to give each block one
+    of the representative's distinct values such that the block sizes given
+    each value add up to that value's multiplicity.  That number depends
+    only on the representative's multiplicities, so representatives are
+    tallied by their sorted multiplicities and each type is counted once.
+    """
     blocks = normalize_partition(partition, spec.n)
-    if len(blocks) == spec.n:
-        return count_lattice_points(spec)
-    lo1, hi1 = scan_window(spec)
-    sizes = [len(b) for b in blocks]
-    count = 0
-    values = range(lo1, hi1 + 1)
+    sizes = sorted((len(b) for b in blocks), reverse=True)
+    types: Counter[tuple[int, ...]] = Counter()
+    for rep in _decreasing_members(spec):
+        # equal values of a decreasing tuple are adjacent
+        types[tuple(sorted(len(list(run)) for _, run in groupby(rep)))] += 1
 
-    # membership depends only on the coordinate multiset, so one value per
-    # block (with the block's multiplicity) determines the classification
-    def assign(idx: int, multiset: list[int]):
-        nonlocal count
-        if idx == len(blocks):
-            if contains(spec, multiset) is not Location.OUTSIDE:
-                count += 1
-            return
-        for v in values:
-            assign(idx + 1, multiset + [v] * sizes[idx])
+    ways_memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    assign(0, [])
-    return count
+    def ways(idx: int, room: tuple[int, ...]) -> int:
+        # the count depends only on the multiset of room left for each value
+        if idx == len(sizes):
+            return 1
+        key = (idx, room)
+        if key not in ways_memo:
+            total = 0
+            for j, left in enumerate(room):
+                if left >= sizes[idx] and (j == 0 or room[j - 1] != left):
+                    rest = room[:j] + (left - sizes[idx],) + room[j + 1 :]
+                    total += room.count(left) * ways(idx + 1, tuple(sorted(rest)))
+            ways_memo[key] = total
+        return ways_memo[key]
+
+    return sum(tally * ways(0, multiplicities) for multiplicities, tally in types.items())

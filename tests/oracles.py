@@ -59,6 +59,13 @@ def grid_points(m: int, n: int, tau, window) -> list[tuple[int, ...]]:
     ]
 
 
+def block_constant_points(points, blocks) -> list[tuple[int, ...]]:
+    """The points whose coordinates agree within every block (1-based)."""
+    return [
+        p for p in points if all(len({p[i - 1] for i in block}) == 1 for block in blocks)
+    ]
+
+
 def coordinate_window(m: int, n: int, tau) -> tuple[int, int]:
     """Integer range holding every coordinate of a member: the k = 1 bounds."""
     tau = as_eps_rational(tau)

@@ -193,6 +193,24 @@ def test_bijection_output_does_not_rest_on_asserts():
     assert hashlib.sha256(done.stdout).hexdigest() == STREAM_OUTPUT_SHA256[args]
 
 
+def test_closed_stdout_exits_141_quietly():
+    args = ("bijection", "--m", "3", "--n", "5", "--tau", "53/8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "zonopark.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline().startswith(b'{"kind":"pair"')
+    child.stdout.close()
+    try:
+        code = child.wait(timeout=60)
+        err = child.stderr.read()
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert code == 141 and err == b""
+
+
 @pytest.mark.parametrize("error", [RuntimeError("broken invariant"), ValueError("bare")])
 def test_internal_error_exits_4(capsys, monkeypatch, error):
     def failing(args):

@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
 
+from zonopark.parking import fuss_catalan
 from zonopark.treecount import (
     MultiGraph,
     build_graph,
@@ -13,6 +15,7 @@ from zonopark.treecount import (
     enumerate_partitions,
     laplacian,
     mobius,
+    partition_types,
     refines,
     regular_orbit_count_mobius,
     spanning_tree_count,
@@ -145,6 +148,17 @@ def test_enumerate_partitions_counts():
             assert sorted(i for b in blocks for i in b) == list(range(1, n + 1))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_partition_types_count_every_set_partition(n):
+    partitions = enumerate_partitions(n)
+    by_type = Counter(tuple(sorted((len(b) for b in s), reverse=True)) for s in partitions)
+    types = list(partition_types(n))
+    assert sum(count for _, count in types) == len(partitions)
+    assert {tuple(len(b) for b in s): count for s, count in types} == by_type
+    for blocks, _ in types:
+        assert blocks in partitions
+
+
 def test_refines():
     assert refines(((1,), (2,), (3,)), ((1, 2, 3),))
     assert refines(((1, 2), (3,)), ((1, 2, 3),))
@@ -163,6 +177,12 @@ def test_regular_orbit_count_mobius_examples():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_regular_orbit_count_mobius_closed_form(m, n):
     assert regular_orbit_count_mobius(m, n) == math.comb(m * n, n) // ((m - 1) * n + 1)
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+def test_regular_orbit_count_mobius_matches_fuss_catalan(m):
+    for n in range(1, 13):
+        assert regular_orbit_count_mobius(m, n) == fuss_catalan(m, n)
 
 
 def test_compositions():
@@ -190,7 +210,7 @@ def test_volume_by_bases_examples():
     assert volume_by_bases(2, 3) == 49
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 4), (3, 3), (4, 2), (3, 5), (2, 6)])
 def test_volume_by_bases_matches_tree_count(m, n):
     assert volume_by_bases(m, n) == spanning_tree_count(build_graph(m, n))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zonopark.scalars import EpsRational, parse_scalar
+from zonopark.treecount import enumerate_partitions
 from zonopark.verify import admissible_taus, inadmissible_taus, sample_taus
 from zonopark.zonotope import (
     Location,
@@ -224,8 +225,6 @@ def test_count_invariant_points_matches_filter():
         tau = sample_taus(m, n, 1)[0]
         spec = ZonotopeSpec(m, n, tau)
         points = enumerate_lattice_points(spec)
-        from zonopark.treecount import enumerate_partitions
-
         for blocks in enumerate_partitions(n):
             expected = sum(
                 1
@@ -233,6 +232,18 @@ def test_count_invariant_points_matches_filter():
                 if all(len({p[i - 1] for i in block}) == 1 for block in blocks)
             )
             assert count_invariant_points(spec, blocks) == expected
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2) for n in range(1, 5)])
+def test_count_invariant_points_matches_grid_oracle(m, n):
+    # admissible midpoints, both one-sided infinitesimals at the centre and
+    # inadmissible shifts, whose boundary points count as members
+    for tau in sample_taus(m, n, 2) + inadmissible_taus(m, n, 2):
+        points = oracles.grid_points(m, n, tau, oracles.coordinate_window(m, n, tau))
+        spec = ZonotopeSpec(m, n, tau)
+        for blocks in enumerate_partitions(n):
+            expected = len(oracles.block_constant_points(points, blocks))
+            assert count_invariant_points(spec, blocks) == expected, (tau, blocks)
 
 
 def test_count_invariant_points_bad_partition():
