@@ -295,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_tilting)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--max-n", dest="max_n", type=int, default=4)
-    p.add_argument("--max-m", dest="max_m", type=int, default=3)
+    p.add_argument("--max-n", dest="max_n", type=_positive_int, default=4)
+    p.add_argument("--max-m", dest="max_m", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument(
         "--format", choices=("json", "tsv"), default="json", help="output format"

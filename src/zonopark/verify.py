@@ -1,10 +1,10 @@
-"""Self-contained invariant checks behind the CLI ``verify`` command.
+"""The invariant registry behind the CLI ``verify`` command and the acceptance tests.
 
-Every structural identity the library promises is re-checked here over a
-bounded (m, n) grid with deterministically sampled shift parameters: tiling
-counts, boundary dichotomy, class bijections, the three regular-orbit
-counting routes, spanning-tree closed forms, stabilizer refinement
-identities, and the weight-table properties.
+Each identity the library promises (tiling counts, boundary dichotomy, class
+bijection, regular-orbit routes, tree counts, weight tables) is one public
+function.  It takes its inputs explicitly and returns ``""`` when the identity
+holds, else a detail naming the values it compared.  ``run_checks`` calls them
+in one fixed order over a bounded (m, n) grid, the acceptance tests over theirs.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .parking import (
 )
 from .scalars import EpsRational, parse_scalar
 from .tilting import (
+    WeightTable,
     color_blocks,
     color_window_start,
     dominant_weights,
@@ -36,6 +37,8 @@ from .tilting import (
 )
 from .treecount import (
     VOLUME_BY_BASES_MAX_N,
+    MultiGraph,
+    Partition,
     build_graph,
     contract,
     contracted_count_closed_form,
@@ -52,11 +55,12 @@ from .zonotope import (
     count_lattice_points,
     enumerate_lattice_points,
     has_boundary_lattice_point,
-    is_admissible,
     support_bounds,
 )
 
 DEFAULT_SEED = 74207281
+
+Point = tuple[int, ...]
 
 
 @dataclass
@@ -67,346 +71,341 @@ class CheckResult:
     detail: str = ""
 
 
+def inadmissible_taus(m: int, n: int, count: int) -> list[EpsRational]:
+    """Deterministic non-admissible rational shifts, increasing.
+
+    They run through center + p/q for 0 <= p < q <= n, then the same plus 1,
+    plus 2, and so on (center = m(n-1)/2); each has denominator <= n after
+    the center is removed, so some lattice point lies on the boundary.
+    """
+    center = Fraction(m * (n - 1), 2)
+    breaks = sorted({Fraction(p, q) for q in range(1, n + 1) for p in range(q)})
+    return [EpsRational(center + i // len(breaks) + breaks[i % len(breaks)]) for i in range(count)]
+
+
 def admissible_taus(m: int, n: int, count: int) -> list[EpsRational]:
     """Deterministic admissible shifts, one per admissibility window.
 
-    Midpoints of consecutive breakpoints {p/q : q <= n} have denominator
-    > n, hence are admissible; integer shifts of the breakpoint pattern
-    give further, distinct windows.
+    The windows lie between consecutive inadmissible shifts; their midpoints
+    have denominator > n after the center is removed, hence are admissible.
     """
-    center = Fraction(m * (n - 1), 2)
-    breaks = sorted({Fraction(p, q) for q in range(1, n + 1) for p in range(q + 1)})
-    mids = [(a + b) / 2 for a, b in zip(breaks, breaks[1:])]
-    values: list[EpsRational] = []
-    shift = 0
-    while len(values) < count:
-        for mid in mids:
-            values.append(EpsRational(center + shift + mid))
-            if len(values) == count:
-                break
-        shift += 1
-    return values
-
-
-def inadmissible_taus(m: int, n: int, count: int) -> list[EpsRational]:
-    """Deterministic non-admissible rational shifts (denominator <= n)."""
-    center = Fraction(m * (n - 1), 2)
-    breaks = sorted({Fraction(p, q) for q in range(1, n + 1) for p in range(q + 1)})
-    values: list[EpsRational] = []
-    shift = 0
-    while len(values) < count:
-        for offset in breaks[:-1]:
-            values.append(EpsRational(center + shift + offset))
-            if len(values) == count:
-                break
-        shift += 1
-    return values
+    walls = inadmissible_taus(m, n, count + 1)
+    return [(a + b) * Fraction(1, 2) for a, b in zip(walls, walls[1:])]
 
 
 def sample_taus(m: int, n: int, count: int = 3) -> list[EpsRational]:
     """Admissible window midpoints plus the two one-sided infinitesimals."""
     center = Fraction(m * (n - 1), 2)
-    extras = [EpsRational(center, -1), EpsRational(center, +1)]
-    return admissible_taus(m, n, count) + extras
+    return admissible_taus(m, n, count) + [EpsRational(center, -1), EpsRational(center, +1)]
 
 
-def _perm_apply(perm, x):
-    return tuple(x[p] for p in perm)
+def _differ(got, want) -> str:
+    """``""`` when the two lists or sets are equal, else a few of each difference."""
+    if got == want:
+        return ""
+    extra, missing = sorted(set(got) - set(want))[:3], sorted(set(want) - set(got))[:3]
+    return f"{len(got)} vs {len(want)}: unexpected {extra}, missing {missing}"
 
 
-class _Suite:
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
-        self.results: list[CheckResult] = []
-        # (m, n), the spec at the first sampled shift and its lattice points
-        self._tau0: tuple[tuple[int, int], ZonotopeSpec, list[tuple[int, ...]]] | None = None
+def _unequal(got, want, what: str) -> str:
+    return "" if got == want else f"{what}: {got} != {want}"
 
-    def tau0_lattice(self, m: int, n: int) -> tuple[ZonotopeSpec, list[tuple[int, ...]]]:
-        """The spec at the first sampled shift and its lattice points.
 
-        Several checks of one (m, n) read them, so the latest (m, n) is kept.
-        """
-        if self._tau0 is None or self._tau0[0] != (m, n):
-            spec = ZonotopeSpec(m, n, sample_taus(m, n)[0])
-            self._tau0 = ((m, n), spec, enumerate_lattice_points(spec))
-        return self._tau0[1], self._tau0[2]
+# -- scalar layer ------------------------------------------------------------
 
-    def record(self, name: str, params: dict, ok: bool, detail: str = ""):
-        self.results.append(CheckResult(name=name, params=params, ok=ok, detail=detail))
 
-    # -- scalar layer ------------------------------------------------------
+def _random_scalar(rng: random.Random) -> EpsRational:
+    base = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
+    return EpsRational(base, rng.randint(-3, 3))
 
-    def check_scalars(self):
-        rng = self.rng
 
-        def rand_scalar():
-            base = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
-            return EpsRational(base, rng.randint(-3, 3))
+def scalar_total_order(rng: random.Random, samples: int = 300) -> str:
+    """Trichotomy, transitivity and translation invariance on random triples."""
+    for _ in range(samples):
+        a, b, c = _random_scalar(rng), _random_scalar(rng), _random_scalar(rng)
+        if (a < b) + (a == b) + (a > b) != 1:
+            return f"trichotomy fails for {a}, {b}"
+        if a < b and b < c and not a < c:
+            return f"transitivity fails for {a}, {b}, {c}"
+        if (a < b) != (a + c < b + c):
+            return f"order not translation-invariant: {a}, {b}, {c}"
+    return ""
 
-        ok = True
-        detail = ""
-        for _ in range(300):
-            a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
-            if (a < b) + (a == b) + (a > b) != 1:
-                ok, detail = False, f"trichotomy fails for {a}, {b}"
-                break
-            if a < b and b < c and not a < c:
-                ok, detail = False, f"transitivity fails for {a}, {b}, {c}"
-                break
-            if (a < b) != (a + c < b + c):
-                ok, detail = False, f"order not translation-invariant: {a}, {b}, {c}"
-                break
-        self.record("scalar_total_order", {}, ok, detail)
 
-        ok = True
-        detail = ""
-        for k in range(-4, 5):
-            for coeff in (-2, -1, 1, 2):
-                value = EpsRational(k, coeff)
-                if math.floor(value) != (k if coeff > 0 else k - 1):
-                    ok, detail = False, f"floor({value})"
-                if math.ceil(value) != (k if coeff < 0 else k + 1):
-                    ok, detail = False, f"ceil({value})"
-        self.record("scalar_floor_ceil", {}, ok, detail)
+def scalar_floor_ceil() -> str:
+    """floor and ceil of k + c*eps step to the integer on the side of c."""
+    for k in range(-4, 5):
+        for coeff in (-2, -1, 1, 2):
+            value = EpsRational(k, coeff)
+            got = (math.floor(value), math.ceil(value))
+            want = (k if coeff > 0 else k - 1, k if coeff < 0 else k + 1)
+            if got != want:
+                return f"floor, ceil of {value}: {got} != {want}"
+    return ""
 
-        ok = True
-        detail = ""
-        for _ in range(200):
-            value = rand_scalar()
-            if parse_scalar(str(value)) != value:
-                ok, detail = False, f"round trip fails for {value}"
-                break
-        self.record("scalar_text_round_trip", {}, ok, detail)
 
-    # -- zonotope layer ----------------------------------------------------
+def scalar_text_round_trip(rng: random.Random, samples: int = 200) -> str:
+    """Printing a scalar and parsing the text gives the scalar back."""
+    for _ in range(samples):
+        value = _random_scalar(rng)
+        if parse_scalar(str(value)) != value:
+            return f"{value} parses back as {parse_scalar(str(value))}"
+    return ""
 
-    def check_zonotope(self, m: int, n: int):
-        params = {"m": m, "n": n}
-        expected = (m * n + 1) ** (n - 1)
 
-        ok = True
-        detail = ""
-        spec = ZonotopeSpec(m, n, EpsRational(0, -1))
-        for k in range(1, n + 1):
-            bounds = support_bounds(spec, k)
-            if bounds.upper - bounds.lower != m * k * (n - k) + k:
-                ok, detail = False, f"width wrong at k={k}"
-        self.record("support_width", params, ok, detail)
+def composition_identity(max_n: int = 8) -> str:
+    """The composition sum equals (x-1)...(x-n+1) / n! for n <= max_n."""
+    for n in range(1, max_n + 1):
+        for x in range(2, 21):
+            want = Fraction(math.prod(x - j for j in range(1, n)), math.factorial(n))
+            if composition_sum(n, x) != want:
+                return f"n={n}, x={x}: {composition_sum(n, x)} != {want}"
+    return ""
 
-        ok = True
-        detail = ""
-        for tau in sample_taus(m, n):
-            spec = ZonotopeSpec(m, n, tau)
-            if not is_admissible(m, n, tau):
-                ok, detail = False, f"sampled tau {tau} not admissible"
-                break
-            if count_lattice_points(spec) != expected:
-                ok, detail = False, f"count mismatch at tau={tau}"
-                break
-            if has_boundary_lattice_point(spec):
-                ok, detail = False, f"boundary point at admissible tau={tau}"
-                break
-        self.record("lattice_count_tiling_index", params, ok, detail)
 
-        ok = True
-        detail = ""
-        for tau in inadmissible_taus(m, n, 3):
-            if is_admissible(m, n, tau):
-                ok, detail = False, f"sampled tau {tau} unexpectedly admissible"
-                break
-            if not has_boundary_lattice_point(ZonotopeSpec(m, n, tau)):
-                ok, detail = False, f"no boundary point at inadmissible tau={tau}"
-                break
-        self.record("inadmissible_has_boundary_point", params, ok, detail)
+# -- zonotope layer ----------------------------------------------------------
 
-        spec, points = self.tau0_lattice(m, n)
-        ok = True
-        detail = ""
-        try:
-            regular_orbit_reps(points)  # raises when not permutation-closed
-        except ValueError as exc:
-            ok, detail = False, str(exc)
-        self.record("sn_invariance", params, ok, detail)
 
-        shifted = enumerate_lattice_points(ZonotopeSpec(m, n, spec.tau + 1))
-        translated = sorted(tuple(c + 1 for c in p) for p in points)
-        self.record("translation_law", params, shifted == translated)
+def support_width(spec: ZonotopeSpec) -> str:
+    """The sum of k coordinates ranges over an interval of width m*k*(n-k) + k."""
+    for k in range(1, spec.n + 1):
+        bounds = support_bounds(spec, k)
+        if bounds.upper - bounds.lower != spec.m * k * (spec.n - k) + k:
+            return f"width {bounds.upper - bounds.lower} at k={k}"
+    return ""
 
-    # -- parking layer -----------------------------------------------------
 
-    def check_parking(self, m: int, n: int, permutations: int = 20):
-        params = {"m": m, "n": n}
-        expected = (m * n + 1) ** (n - 1)
-        spec, points = self.tau0_lattice(m, n)
-        functions = enumerate_parking_functions(m, n)
+def lattice_count_tiling_index(specs: list[ZonotopeSpec]) -> str:
+    """Each spec is admissible, with (mn+1)^(n-1) points and none on the boundary."""
+    for spec in specs:
+        got = (spec.is_admissible(), count_lattice_points(spec), has_boundary_lattice_point(spec))
+        want = (True, (spec.m * spec.n + 1) ** (spec.n - 1), False)
+        if got != want:
+            return f"admissible, points, boundary point at tau={spec.tau}: {got} != {want}"
+    return ""
 
-        point_classes = {canonical_class(x, m, n) for x in points}
-        parking_classes = {canonical_class(a, m, n) for a in functions}
-        ok = (
-            len(points) == len(point_classes) == expected
-            and len(functions) == len(parking_classes) == expected
-            and point_classes == parking_classes
-        )
-        self.record("class_bijection", params, ok)
 
-        ok = all(parking_to_lattice(lattice_to_parking(x, spec), spec) == x for x in points)
-        ok = ok and all(
-            lattice_to_parking(parking_to_lattice(a, spec), spec) == a for a in functions
-        )
-        self.record("round_trip", params, ok)
+def inadmissible_has_boundary_point(specs: list[ZonotopeSpec]) -> str:
+    """Each spec is inadmissible and has a lattice point on its boundary."""
+    for spec in specs:
+        got = (spec.is_admissible(), has_boundary_lattice_point(spec))
+        if got != (False, True):
+            return f"admissible, boundary point at tau={spec.tau}: {got}"
+    return ""
 
-        ok = True
-        detail = ""
-        for _ in range(permutations):
-            perm = self.rng.sample(range(n), n)
-            x = points[self.rng.randrange(len(points))]
-            lhs = lattice_to_parking(_perm_apply(perm, x), spec)
-            rhs = _perm_apply(perm, lattice_to_parking(x, spec))
-            if lhs != rhs:
-                ok, detail = False, f"equivariance fails at x={x}, perm={perm}"
-                break
-        self.record("equivariance", params, ok, detail)
 
-        reps = regular_orbit_reps(points)
-        dyck = enumerate_dyck_paths(m, n)
-        routes = {
-            "orbits": len(reps),
-            "dyck": len(dyck),
-            "mobius": regular_orbit_count_mobius(m, n),
-            "closed_form": fuss_catalan(m, n),
-        }
-        ok = len(set(routes.values())) == 1
-        self.record("regular_orbit_routes", params, ok, "" if ok else str(routes))
+def sn_invariance(points: list[Point]) -> str:
+    """The points are closed under coordinate permutations."""
+    try:
+        regular_orbit_reps(points)  # raises when not permutation-closed
+    except ValueError as exc:
+        return str(exc)
+    return ""
 
-        increasing = [
-            a for a in functions if all(x < y for x, y in zip(a, a[1:]))
-        ]
-        images = {orbit_to_dyck(a) for a in increasing}
-        ok = len(increasing) == len(images) and images == set(dyck)
-        self.record("orbit_to_dyck_bijection", params, ok)
 
-    # -- spanning trees ----------------------------------------------------
+def translation_law(spec: ZonotopeSpec, points: list[Point]) -> str:
+    """The points at tau + 1 are the points at tau shifted by (1, ..., 1)."""
+    shifted = enumerate_lattice_points(ZonotopeSpec(spec.m, spec.n, spec.tau + 1))
+    return _differ(shifted, sorted(tuple(c + 1 for c in p) for p in points))
 
-    def check_trees(self, m: int, n: int):
-        params = {"m": m, "n": n}
-        g = build_graph(m, n)
-        self.record(
-            "tree_count_closed_form",
-            params,
-            spanning_tree_count(g) == (n * m + 1) ** (n - 1),
-        )
 
-        partitions = enumerate_partitions(n)
-        trees = [spanning_tree_count(contract(g, s)) for s in partitions]
-        ok = all(
-            count == contracted_count_closed_form(m, n, s)
-            for s, count in zip(partitions, trees)
-        )
-        self.record("contracted_closed_form", params, ok)
+# -- parking layer -----------------------------------------------------------
 
-        spec, points = self.tau0_lattice(m, n)
-        self.record(
-            "tree_count_equals_lattice_count",
-            params,
-            spanning_tree_count(g) == count_lattice_points(spec),
-        )
 
-        # the subset count explodes beyond these sizes
-        if n <= VOLUME_BY_BASES_MAX_N and (n <= 4 or m <= 2):
-            self.record(
-                "volume_by_bases_agrees",
-                params,
-                volume_by_bases(m, n) == spanning_tree_count(g),
-            )
+def class_bijection(m: int, n: int, points: list[Point], functions: list[Point]) -> str:
+    """Points and parking functions each meet every class mod (mn+1)Z^n + Z(1,...,1) once."""
+    point_classes = {canonical_class(x, m, n) for x in points}
+    parking_classes = {canonical_class(a, m, n) for a in functions}
+    sizes = (len(points), len(point_classes), len(functions), len(parking_classes))
+    if len(set(sizes)) != 1 or sizes[0] != (m * n + 1) ** (n - 1):
+        return f"points, classes, parking functions, classes: {sizes}, not (mn+1)^(n-1)"
+    return _differ(point_classes, parking_classes)
 
-        ok = True
-        detail = ""
-        for s, count in zip(partitions, trees):
-            weight = math.prod(len(b) for b in s)
-            if count != weight * count_invariant_points(spec, s):
-                ok, detail = False, f"invariant-count identity fails at {s}"
-                break
-        self.record("invariant_point_identity", params, ok, detail)
 
-        histogram = Counter(stabilizer_partition(p) for p in points)
-        ok = True
-        detail = ""
-        for s, count in zip(partitions, trees):
-            weight = math.prod(len(b) for b in s)
-            total = sum(c for s2, c in histogram.items() if refines(s, s2))
-            if count != weight * total:
-                ok, detail = False, f"refinement identity fails at {s}"
-                break
-        self.record("stabilizer_refinement_identity", params, ok, detail)
+def round_trip(spec: ZonotopeSpec, points: list[Point], functions: list[Point]) -> str:
+    """lattice_to_parking and parking_to_lattice invert each other on both sets."""
+    for start, there, back in (
+        (points, lattice_to_parking, parking_to_lattice),
+        (functions, parking_to_lattice, lattice_to_parking),
+    ):
+        for x in start:
+            image = there(x, spec)
+            if back(image, spec) != x:
+                return f"{x} -> {image} -> {back(image, spec)}"
+    return ""
 
-    # -- weight tables -----------------------------------------------------
 
-    def check_tilting(self, m: int, n: int):
-        params = {"m": m, "n": n}
-        expected = fuss_catalan(m, n)
-        steps = staircase(n)
+def equivariance(spec: ZonotopeSpec, points: list[Point], rng: random.Random, samples: int) -> str:
+    """lattice_to_parking commutes with random permutations of random points."""
+    for _ in range(samples):
+        perm = rng.sample(range(spec.n), spec.n)
+        x = points[rng.randrange(len(points))]
+        left = lattice_to_parking(tuple(x[p] for p in perm), spec)
+        image = lattice_to_parking(x, spec)
+        right = tuple(image[p] for p in perm)
+        if left != right:
+            return f"at x={x}, perm={perm}: {left} != {right}"
+    return ""
 
-        size_ok = True
-        color_ok = True
-        shift_ok = True
-        detail = ""
-        for t in t_grid(n):
-            table = tilting_weights(m, n, t)
-            if len(table.weights) != expected:
-                size_ok, detail = False, f"size {len(table.weights)} at t={t}"
-            blocks = color_blocks(table)
-            u = color_window_start(m, n, t)
-            colors = [block.color for block in blocks]
-            if not set(colors) <= set(range(u, u + n)):
-                color_ok, detail = False, f"colors {colors} escape window at t={t}"
-            if m >= 2 and colors != list(range(u, u + n)):
-                color_ok, detail = False, f"missing colors {colors} at t={t}"
 
-            # shifting by the all-ones vector preserves the table order
-            shifted = dominant_weights(m, n, table.tau + 1)
-            expected_shift = tuple(tuple(c + 1 for c in w) for w in table.weights)
-            if shifted != expected_shift:
-                shift_ok, detail = False, f"translation fails at t={t}"
-        self.record("table_size", params, size_ok, detail if not size_ok else "")
-        self.record("color_window", params, color_ok, detail if not color_ok else "")
-        self.record("weight_translation", params, shift_ok, detail if not shift_ok else "")
+def regular_orbit_routes(m: int, n: int, points: list[Point], dyck: list[Point]) -> str:
+    """Regular orbits, Dyck paths, Mobius inversion and Fuss-Catalan give one count."""
+    orbits, mobius = len(regular_orbit_reps(points)), regular_orbit_count_mobius(m, n)
+    routes = dict(orbits=orbits, dyck=len(dyck), mobius=mobius, closed_form=fuss_catalan(m, n))
+    return "" if len(set(routes.values())) == 1 else str(routes)
 
-        t0 = t_grid(n)[0]
-        table = tilting_weights(m, n, t0)
-        spec = ZonotopeSpec(m, n, table.tau)
-        regular_dominant = {
-            p
-            for p in enumerate_lattice_points(spec)
-            if is_regular(p) and all(a > b for a, b in zip(p, p[1:]))
-        }
-        lifted = {tuple(w + s for w, s in zip(xi, steps)) for xi in table.weights}
-        self.record("staircase_shift_bijection", params, lifted == regular_dominant)
 
-    # -- composition identity ---------------------------------------------
+def orbit_to_dyck_bijection(functions: list[Point], dyck: list[Point]) -> str:
+    """orbit_to_dyck maps the strictly increasing parking functions onto the Dyck paths."""
+    increasing = [a for a in functions if all(x < y for x, y in zip(a, a[1:]))]
+    images = {orbit_to_dyck(a) for a in increasing}
+    if len(images) != len(increasing):
+        return f"{len(increasing)} increasing parking functions, {len(images)} images"
+    return _differ(images, set(dyck))
 
-    def check_composition_identity(self, max_n: int = 8):
-        ok = True
-        detail = ""
-        for n in range(1, max_n + 1):
-            for x in range(2, 21):
-                rhs = Fraction(
-                    math.prod(x - j for j in range(1, n)), math.factorial(n)
-                )
-                if composition_sum(n, x) != rhs:
-                    ok, detail = False, f"identity fails at n={n}, x={x}"
-                    break
-        self.record("composition_identity", {"max_n": max_n}, ok, detail)
+
+# -- spanning trees ----------------------------------------------------------
+
+
+def contracted_tree_counts(graph: MultiGraph) -> dict[Partition, int]:
+    """The spanning-tree count of each contraction of the graph, by set partition."""
+    partitions = enumerate_partitions(graph.order - 1)
+    return {blocks: spanning_tree_count(contract(graph, blocks)) for blocks in partitions}
+
+
+def tree_count_closed_form(m: int, n: int, graph: MultiGraph) -> str:
+    """The graph has (mn+1)^(n-1) spanning trees."""
+    return _unequal(spanning_tree_count(graph), (m * n + 1) ** (n - 1), "spanning trees")
+
+
+def contracted_closed_form(m: int, n: int, trees: dict[Partition, int]) -> str:
+    """Each contracted count is n_1 * ... * n_t * (mn+1)^(t-1)."""
+    for blocks, count in trees.items():
+        if count != contracted_count_closed_form(m, n, blocks):
+            return f"{count} trees at {blocks}"
+    return ""
+
+
+def tree_count_equals_lattice_count(spec: ZonotopeSpec, graph: MultiGraph) -> str:
+    """The graph has as many spanning trees as the zonotope has lattice points."""
+    return _unequal(spanning_tree_count(graph), count_lattice_points(spec), "trees vs points")
+
+
+def volume_by_bases_agrees(m: int, n: int, graph: MultiGraph) -> str:
+    """The determinant-weighted count of bases equals the spanning-tree count."""
+    return _unequal(volume_by_bases(m, n), spanning_tree_count(graph), "volume vs trees")
+
+
+def invariant_point_identity(spec: ZonotopeSpec, trees: dict[Partition, int]) -> str:
+    """Contracted trees = block-size product * points constant on each block."""
+    for blocks, count in trees.items():
+        invariant = count_invariant_points(spec, blocks)
+        if count != math.prod(map(len, blocks)) * invariant:
+            return f"{count} trees, {invariant} invariant points at {blocks}"
+    return ""
+
+
+def stabilizer_refinement_identity(points: list[Point], trees: dict[Partition, int]) -> str:
+    """Contracted trees = block-size product * points whose stabilizer is coarser."""
+    histogram = Counter(stabilizer_partition(p) for p in points)
+    for blocks, count in trees.items():
+        coarser = sum(c for s, c in histogram.items() if refines(blocks, s))
+        if count != math.prod(map(len, blocks)) * coarser:
+            return f"{count} trees, {coarser} points with a coarser stabilizer at {blocks}"
+    return ""
+
+
+# -- weight tables -----------------------------------------------------------
+
+
+def table_size(tables: list[WeightTable]) -> str:
+    """Each table holds A_n(m, 1) weights."""
+    for table in tables:
+        if len(table.weights) != fuss_catalan(table.m, table.n):
+            return f"{len(table.weights)} weights at t={table.t}"
+    return ""
+
+
+def color_window(tables: list[WeightTable]) -> str:
+    """Colors lie in {u, ..., u+n-1}, and for m >= 2 fill it with nonempty blocks."""
+    for table in tables:
+        u = color_window_start(table.m, table.n, table.t)
+        window = list(range(u, u + table.n))
+        # an empty block counts as a missing color
+        colors = [block.color for block in color_blocks(table) if block.weights]
+        if not set(colors) <= set(window) or (table.m >= 2 and colors != window):
+            return f"colors {colors} at t={table.t}, window {window}"
+    return ""
+
+
+def weight_translation(tables: list[WeightTable]) -> str:
+    """Shifting tau by 1 adds (1, ..., 1) to each weight and keeps the table order."""
+    for table in tables:
+        shifted = dominant_weights(table.m, table.n, table.tau + 1)
+        want = tuple(tuple(c + 1 for c in w) for w in table.weights)
+        if shifted != want:
+            return f"weights at tau={table.tau + 1}: {shifted[:4]} != {want[:4]}"
+    return ""
+
+
+def staircase_shift_bijection(table: WeightTable) -> str:
+    """Adding the staircase to the weights gives the regular dominant points."""
+    points = enumerate_lattice_points(ZonotopeSpec(table.m, table.n, table.tau))
+    regular_dominant = {
+        p for p in points if is_regular(p) and all(a > b for a, b in zip(p, p[1:]))
+    }
+    steps = staircase(table.n)
+    lifted = {tuple(w + s for w, s in zip(xi, steps)) for xi in table.weights}
+    return _differ(lifted, regular_dominant)
 
 
 def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the full invariant suite for 1 <= m <= max_m, 1 <= n <= max_n."""
-    suite = _Suite(seed)
-    suite.check_scalars()
-    suite.check_composition_identity()
+    """Run every invariant for 1 <= m <= max_m, 1 <= n <= max_n, in record order."""
+    rng = random.Random(seed)
+    results: list[CheckResult] = []
+
+    def run(params: dict, checks) -> None:
+        for check, *inputs in checks:
+            detail = check(*inputs)
+            results.append(CheckResult(check.__name__, params, not detail, detail))
+
+    run({}, [(scalar_total_order, rng), (scalar_floor_ceil,), (scalar_text_round_trip, rng)])
+    run({"max_n": 8}, [(composition_identity, 8)])
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
-            suite.check_zonotope(m, n)
-            suite.check_parking(m, n)
-            suite.check_trees(m, n)
-            suite.check_tilting(m, n)
-    return suite.results
+            # inputs shared by several checks of this (m, n), made once
+            specs = [ZonotopeSpec(m, n, tau) for tau in sample_taus(m, n)]
+            spec, points = specs[0], enumerate_lattice_points(specs[0])
+            functions, dyck = enumerate_parking_functions(m, n), enumerate_dyck_paths(m, n)
+            graph = build_graph(m, n)
+            trees = contracted_tree_counts(graph)
+            tables = [tilting_weights(m, n, t) for t in t_grid(n)]
+            inadmissible = [ZonotopeSpec(m, n, tau) for tau in inadmissible_taus(m, n, 3)]
+            # the subset count of volume_by_bases explodes beyond these sizes
+            bases = n <= VOLUME_BY_BASES_MAX_N and (n <= 4 or m <= 2)
+            run(
+                {"m": m, "n": n},
+                [
+                    (support_width, spec),
+                    (lattice_count_tiling_index, specs),
+                    (inadmissible_has_boundary_point, inadmissible),
+                    (sn_invariance, points),
+                    (translation_law, spec, points),
+                    (class_bijection, m, n, points, functions),
+                    (round_trip, spec, points, functions),
+                    (equivariance, spec, points, rng, 20),
+                    (regular_orbit_routes, m, n, points, dyck),
+                    (orbit_to_dyck_bijection, functions, dyck),
+                    (tree_count_closed_form, m, n, graph),
+                    (contracted_closed_form, m, n, trees),
+                    (tree_count_equals_lattice_count, spec, graph),
+                    *([(volume_by_bases_agrees, m, n, graph)] if bases else []),
+                    (invariant_point_identity, spec, trees),
+                    (stabilizer_refinement_identity, points, trees),
+                    (table_size, tables),
+                    (color_window, tables),
+                    (weight_translation, tables),
+                    (staircase_shift_bijection, tables[0]),
+                ],
+            )
+    return results

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import groupby
 
 from .orbits import normalize_partition, orbit_of, orbit_size
@@ -77,6 +77,15 @@ class ZonotopeSpec:
 
     def is_admissible(self) -> bool:
         return self.admissible
+
+    @cached_property
+    def representatives(self) -> tuple[tuple[int, ...], ...]:
+        """All weakly decreasing member tuples (boundary included), lex order.
+
+        They are the sorted representatives of the member points.  The scan
+        runs on first use and its result lives as long as the spec does.
+        """
+        return tuple(_scan_decreasing(self, 0))
 
 
 @dataclass(frozen=True)
@@ -194,28 +203,22 @@ def _scan_decreasing(spec: ZonotopeSpec, gap: int) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _decreasing_members(spec: ZonotopeSpec) -> tuple[tuple[int, ...], ...]:
-    """All weakly decreasing member tuples, cached per spec for reuse."""
-    return tuple(_scan_decreasing(spec, 0))
-
-
 def dominant_points(spec: ZonotopeSpec, *, strict: bool = False) -> list[tuple[int, ...]]:
     """The weakly (or, with ``strict``, strictly) decreasing member points, lex order.
 
     The strict scan enumerates the regular dominant points directly, so its
     cost grows with their number rather than with the number of weakly
-    decreasing representatives; it is not cached.
+    decreasing representatives; it is not kept on the spec.
     """
     if strict:
         return _scan_decreasing(spec, 1)
-    return list(_decreasing_members(spec))
+    return list(spec.representatives)
 
 
 def enumerate_lattice_points(spec: ZonotopeSpec) -> list[tuple[int, ...]]:
     """All integer points of the zonotope (boundary included), lex order."""
     points: list[tuple[int, ...]] = []
-    for rep in _decreasing_members(spec):
+    for rep in spec.representatives:
         points.extend(orbit_of(rep))
     points.sort()
     return points
@@ -223,13 +226,13 @@ def enumerate_lattice_points(spec: ZonotopeSpec) -> list[tuple[int, ...]]:
 
 def count_lattice_points(spec: ZonotopeSpec) -> int:
     """|Z ∩ Z^n| via orbit sizes of the sorted representatives."""
-    return sum(orbit_size(rep) for rep in _decreasing_members(spec))
+    return sum(orbit_size(rep) for rep in spec.representatives)
 
 
 def has_boundary_lattice_point(spec: ZonotopeSpec) -> bool:
     """True iff some integer point lies exactly on the boundary."""
     return any(
-        contains(spec, rep) is Location.BOUNDARY for rep in _decreasing_members(spec)
+        contains(spec, rep) is Location.BOUNDARY for rep in spec.representatives
     )
 
 
@@ -247,7 +250,7 @@ def count_invariant_points(spec: ZonotopeSpec, partition) -> int:
     blocks = normalize_partition(partition, spec.n)
     sizes = sorted((len(b) for b in blocks), reverse=True)
     types: Counter[tuple[int, ...]] = Counter()
-    for rep in _decreasing_members(spec):
+    for rep in spec.representatives:
         # equal values of a decreasing tuple are adjacent
         types[tuple(sorted(len(list(run)) for _, run in groupby(rep)))] += 1
 

@@ -8,36 +8,28 @@ import math
 import random
 import time
 
-from zonopark.orbits import regular_orbit_reps, stabilizer_partition
-from zonopark.parking import (
-    canonical_class,
-    enumerate_dyck_paths,
-    enumerate_parking_functions,
-    fuss_catalan,
-    lattice_to_parking,
-    parking_to_lattice,
+from zonopark.parking import enumerate_dyck_paths, enumerate_parking_functions, fuss_catalan
+from zonopark.tilting import t_grid, tilting_weights
+from zonopark.treecount import build_graph, composition_sum
+from zonopark.verify import (
+    admissible_taus,
+    class_bijection,
+    color_window,
+    contracted_closed_form,
+    contracted_tree_counts,
+    equivariance,
+    inadmissible_has_boundary_point,
+    inadmissible_taus,
+    invariant_point_identity,
+    lattice_count_tiling_index,
+    regular_orbit_routes,
+    round_trip,
+    sample_taus,
+    stabilizer_refinement_identity,
+    tree_count_closed_form,
+    volume_by_bases_agrees,
 )
-from zonopark.tilting import color_blocks, color_window_start, t_grid, tilting_weights
-from zonopark.treecount import (
-    build_graph,
-    composition_sum,
-    contract,
-    contracted_count_closed_form,
-    enumerate_partitions,
-    refines,
-    regular_orbit_count_mobius,
-    spanning_tree_count,
-    volume_by_bases,
-)
-from zonopark.verify import admissible_taus, inadmissible_taus, sample_taus
-from zonopark.zonotope import (
-    ZonotopeSpec,
-    count_invariant_points,
-    count_lattice_points,
-    enumerate_lattice_points,
-    has_boundary_lattice_point,
-    is_admissible,
-)
+from zonopark.zonotope import ZonotopeSpec, enumerate_lattice_points
 
 from golden_tables import GOLDEN_TABLES
 from oracles import falling_factorial_form
@@ -88,10 +80,11 @@ def test_criterion_03_lattice_cardinality():
     windows = 0
     for m in range(1, 4):
         for n in range(1, 6):
-            for tau in admissible_taus(m, n, 10):
-                windows += 1
-                if count_lattice_points(ZonotopeSpec(m, n, tau)) != (m * n + 1) ** (n - 1):
-                    failures.append((m, n, str(tau)))
+            specs = [ZonotopeSpec(m, n, tau) for tau in admissible_taus(m, n, 10)]
+            windows += len(specs)
+            detail = lattice_count_tiling_index(specs)
+            if detail:
+                failures.append((m, n, detail))
     elapsed = time.perf_counter() - start
     if windows < 10 * 3 * 5:
         failures.append("window sweep too small")
@@ -105,34 +98,16 @@ def test_criterion_04_bijection_suite():
     failures = []
     for m in range(1, 4):
         for n in range(1, 5):
-            q = m * n + 1
-            tau = sample_taus(m, n, 1)[0]
-            spec = ZonotopeSpec(m, n, tau)
+            spec = ZonotopeSpec(m, n, sample_taus(m, n, 1)[0])
             points = enumerate_lattice_points(spec)
             functions = enumerate_parking_functions(m, n)
-            point_classes = {canonical_class(x, m, n) for x in points}
-            parking_classes = {canonical_class(a, m, n) for a in functions}
-            if not (
-                len(point_classes) == len(points) == q ** (n - 1)
-                and parking_classes == point_classes
-                and len(parking_classes) == len(functions)
+            for check, detail in (
+                ("bijectivity", class_bijection(m, n, points, functions)),
+                ("round trip", round_trip(spec, points, functions)),
+                ("equivariance", equivariance(spec, points, rng, 100)),
             ):
-                failures.append(("bijectivity", m, n))
-                continue
-            if any(parking_to_lattice(lattice_to_parking(x, spec), spec) != x for x in points):
-                failures.append(("round trip from lattice", m, n))
-            if any(
-                lattice_to_parking(parking_to_lattice(a, spec), spec) != a for a in functions
-            ):
-                failures.append(("round trip from parking", m, n))
-            for _ in range(100):
-                perm = rng.sample(range(n), n)
-                x = points[rng.randrange(len(points))]
-                left = lattice_to_parking(tuple(x[p] for p in perm), spec)
-                right = tuple(lattice_to_parking(x, spec)[p] for p in perm)
-                if left != right:
-                    failures.append(("equivariance", m, n, x, perm))
-                    break
+                if detail:
+                    failures.append((check, m, n, detail))
     report(4, "class bijections, round trips and 100-permutation equivariance", failures)
 
 
@@ -140,14 +115,12 @@ def test_criterion_05_regular_orbits_three_routes():
     failures = []
     for m in range(1, 5):
         for n in range(1, 6):
-            expected = fuss_catalan(m, n)
-            dyck = len(enumerate_dyck_paths(m, n))
-            mobius_route = regular_orbit_count_mobius(m, n)
+            dyck = enumerate_dyck_paths(m, n)
             for tau in sample_taus(m, n, 1):
                 points = enumerate_lattice_points(ZonotopeSpec(m, n, tau))
-                direct = len(regular_orbit_reps(points))
-                if not (direct == dyck == mobius_route == expected):
-                    failures.append((m, n, str(tau), direct, dyck, mobius_route, expected))
+                detail = regular_orbit_routes(m, n, points, dyck)
+                if detail:
+                    failures.append((m, n, str(tau), detail))
     report(5, "direct, Dyck and Mobius regular-orbit counts all agree", failures)
 
 
@@ -155,19 +128,19 @@ def test_criterion_06_matrix_tree():
     failures = []
     for m in range(1, 5):
         for n in range(1, 7):
-            if spanning_tree_count(build_graph(m, n)) != (n * m + 1) ** (n - 1):
-                failures.append(("tree count", m, n))
+            detail = tree_count_closed_form(m, n, build_graph(m, n))
+            if detail:
+                failures.append(("tree count", m, n, detail))
     for m in range(1, 5):
         for n in range(1, 6):
-            g = build_graph(m, n)
-            for blocks in enumerate_partitions(n):
-                got = spanning_tree_count(contract(g, blocks))
-                if got != contracted_count_closed_form(m, n, blocks):
-                    failures.append(("contracted", m, n, blocks))
+            detail = contracted_closed_form(m, n, contracted_tree_counts(build_graph(m, n)))
+            if detail:
+                failures.append(("contracted", m, n, detail))
     for m in range(1, 5):
         for n in range(1, 5):
-            if volume_by_bases(m, n) != spanning_tree_count(build_graph(m, n)):
-                failures.append(("volume", m, n))
+            detail = volume_by_bases_agrees(m, n, build_graph(m, n))
+            if detail:
+                failures.append(("volume", m, n, detail))
     report(6, "Kirchhoff counts, contractions and base volumes match closed forms", failures)
 
 
@@ -177,18 +150,16 @@ def test_criterion_07_boundary_dichotomy():
     admissible_seen = 0
     for m in range(1, 4):
         for n in range(1, 5):
-            for tau in inadmissible_taus(m, n, 2):
-                inadmissible_seen += 1
-                if is_admissible(m, n, tau):
-                    failures.append(("classified admissible", m, n, str(tau)))
-                elif not has_boundary_lattice_point(ZonotopeSpec(m, n, tau)):
-                    failures.append(("no boundary point found", m, n, str(tau)))
-            for tau in sample_taus(m, n, 2):
-                admissible_seen += 1
-                if not is_admissible(m, n, tau):
-                    failures.append(("classified inadmissible", m, n, str(tau)))
-                elif has_boundary_lattice_point(ZonotopeSpec(m, n, tau)):
-                    failures.append(("boundary point found", m, n, str(tau)))
+            inadmissible = [ZonotopeSpec(m, n, tau) for tau in inadmissible_taus(m, n, 2)]
+            admissible = [ZonotopeSpec(m, n, tau) for tau in sample_taus(m, n, 2)]
+            inadmissible_seen += len(inadmissible)
+            admissible_seen += len(admissible)
+            for side, detail in (
+                ("inadmissible", inadmissible_has_boundary_point(inadmissible)),
+                ("admissible", lattice_count_tiling_index(admissible)),
+            ):
+                if detail:
+                    failures.append((side, m, n, detail))
     if inadmissible_seen < 20 or admissible_seen < 20:
         failures.append(("sample too small", inadmissible_seen, admissible_seen))
     report(
@@ -200,23 +171,18 @@ def test_criterion_07_boundary_dichotomy():
 
 
 def test_criterion_08_stabilizer_refinement():
-    from collections import Counter
-
     failures = []
     for m in range(1, 4):
         for n in range(1, 5):
-            g = build_graph(m, n)
-            tau = sample_taus(m, n, 1)[0]
-            spec = ZonotopeSpec(m, n, tau)
-            histogram = Counter(stabilizer_partition(p) for p in enumerate_lattice_points(spec))
-            for blocks in enumerate_partitions(n):
-                weight = math.prod(len(b) for b in blocks)
-                trees = spanning_tree_count(contract(g, blocks))
-                if trees != weight * count_invariant_points(spec, blocks):
-                    failures.append(("invariant-count identity", m, n, blocks))
-                coarser_total = sum(c for s, c in histogram.items() if refines(blocks, s))
-                if trees != weight * coarser_total:
-                    failures.append(("refinement identity", m, n, blocks))
+            spec = ZonotopeSpec(m, n, sample_taus(m, n, 1)[0])
+            points = enumerate_lattice_points(spec)
+            trees = contracted_tree_counts(build_graph(m, n))
+            for identity, detail in (
+                ("invariant-count identity", invariant_point_identity(spec, trees)),
+                ("refinement identity", stabilizer_refinement_identity(points, trees)),
+            ):
+                if detail:
+                    failures.append((identity, m, n, detail))
     report(8, "stabilizer refinement and invariant-count identities", failures)
 
 
@@ -233,11 +199,7 @@ def test_criterion_10_color_decomposition():
     failures = []
     for m in (2, 3):
         for n in range(1, 5):
-            for t in t_grid(n):
-                u = color_window_start(m, n, t)
-                blocks = color_blocks(tilting_weights(m, n, t))
-                if [b.color for b in blocks] != list(range(u, u + n)):
-                    failures.append((m, n, t))
-                if any(not b.weights for b in blocks):
-                    failures.append(("empty block", m, n, t))
+            detail = color_window([tilting_weights(m, n, t) for t in t_grid(n)])
+            if detail:
+                failures.append((m, n, detail))
     report(10, "colors fill exactly {u, ..., u+n-1} with no empty block", failures)

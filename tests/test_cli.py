@@ -185,6 +185,31 @@ def test_stream_output_is_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == STREAM_OUTPUT_SHA256[args]
 
 
+# sha256 of the full stdout of each run, taken from the version whose checks
+# were methods of one suite object, so the invariant registry must keep the
+# names, the order and the details of every record
+VERIFY_OUTPUT_SHA256 = {
+    ("verify",): "c6fde452699f8abe558fafda2a21fe486d91088f36170b1b16df4972c79ea3d5",
+    ("verify", "--max-n", "5", "--max-m", "2", "--seed", "7"):
+        "a74b66a9b819fd67e84b7b0a57a1ac3951c6cbb36a6f2def77a90c271295a341",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_OUTPUT_SHA256))
+def test_verify_output_is_pinned(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_OUTPUT_SHA256[args]
+
+
+def test_verify_bounds_must_be_positive(capsys):
+    for bounds in (("--max-n", "0", "--max-m", "-3"), ("--max-n", "2", "--max-m", "0")):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", *bounds])
+        assert info.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_bijection_output_does_not_rest_on_asserts():
     args = ("bijection", "--m", "2", "--n", "4", "--tau", "3-eps")
     done = subprocess.run(

@@ -1,35 +1,289 @@
+import functools
+import random
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from zonopark import verify
+from zonopark.parking import enumerate_dyck_paths, enumerate_parking_functions
+from zonopark.scalars import EpsRational
+from zonopark.tilting import t_grid, tilting_weights
+from zonopark.treecount import build_graph
+from zonopark.zonotope import SupportBounds, ZonotopeSpec, enumerate_lattice_points
+
+M, N = 2, 3
+
+TREE_CHECKS = {
+    "tree_count_closed_form",
+    "contracted_closed_form",
+    "tree_count_equals_lattice_count",
+    "volume_by_bases_agrees",
+    "invariant_point_identity",
+    "stabilizer_refinement_identity",
+}
 
 
-def test_check_trees_skips_volume_by_bases_above_its_size_limit(monkeypatch):
+@pytest.fixture(scope="module")
+def case():
+    """The inputs run_checks builds for (M, N), all of them true."""
+    specs = [ZonotopeSpec(M, N, tau) for tau in verify.sample_taus(M, N)]
+    graph = build_graph(M, N)
+    return SimpleNamespace(
+        specs=specs,
+        spec=specs[0],
+        points=enumerate_lattice_points(specs[0]),
+        functions=enumerate_parking_functions(M, N),
+        dyck=enumerate_dyck_paths(M, N),
+        graph=graph,
+        trees=verify.contracted_tree_counts(graph),
+        tables=[tilting_weights(M, N, t) for t in t_grid(N)],
+    )
+
+
+def test_every_invariant_holds_on_the_true_inputs():
+    results = verify.run_checks(max_m=M, max_n=N, seed=5)
+    assert all(r.ok and r.detail == "" for r in results), [r for r in results if not r.ok]
+
+
+# -- each invariant must be able to fail ---------------------------------------
+#
+# Every function below feeds one registry invariant a corrupted input (or a
+# broken operation, for the checks whose only input is an rng) and returns
+# the invariant's answer, which must be a nonempty failure detail.
+
+CORRUPTIONS = {}
+
+
+def corrupts(check):
+    def register(corrupt):
+        CORRUPTIONS[check.__name__] = corrupt
+        return corrupt
+
+    return register
+
+
+@corrupts(verify.scalar_total_order)
+def _(case, monkeypatch):
+    monkeypatch.setattr(EpsRational, "__lt__", lambda a, b: False)
+    return verify.scalar_total_order(random.Random(5))
+
+
+@corrupts(verify.scalar_floor_ceil)
+def _(case, monkeypatch):
+    monkeypatch.setattr(EpsRational, "__floor__", lambda value: 0)
+    return verify.scalar_floor_ceil()
+
+
+@corrupts(verify.scalar_text_round_trip)
+def _(case, monkeypatch):
+    parse = verify.parse_scalar
+    monkeypatch.setattr(verify, "parse_scalar", lambda text: parse(text) + 1)
+    return verify.scalar_text_round_trip(random.Random(5))
+
+
+@corrupts(verify.composition_identity)
+def _(case, monkeypatch):
+    composition_sum = verify.composition_sum
+    monkeypatch.setattr(
+        verify, "composition_sum", lambda n, x: composition_sum(n, x) + (n == 5 and x == 7)
+    )
+    return verify.composition_identity()
+
+
+@corrupts(verify.support_width)
+def _(case, monkeypatch):
+    support_bounds = verify.support_bounds
+
+    def one_too_wide(spec, k):
+        bounds = support_bounds(spec, k)
+        return SupportBounds(k, bounds.lower, bounds.upper + (k == 2))
+
+    monkeypatch.setattr(verify, "support_bounds", one_too_wide)
+    return verify.support_width(case.spec)
+
+
+@corrupts(verify.lattice_count_tiling_index)
+def _(case, monkeypatch):
+    # a shift on a breakpoint, one step off its admissible window
+    return verify.lattice_count_tiling_index(
+        [*case.specs, ZonotopeSpec(M, N, verify.inadmissible_taus(M, N, 1)[0])]
+    )
+
+
+@corrupts(verify.inadmissible_has_boundary_point)
+def _(case, monkeypatch):
+    return verify.inadmissible_has_boundary_point([case.spec])
+
+
+@corrupts(verify.sn_invariance)
+def _(case, monkeypatch):
+    dropped = next(p for p in case.points if len(set(p)) > 1)
+    return verify.sn_invariance([p for p in case.points if p != dropped])
+
+
+@corrupts(verify.translation_law)
+def _(case, monkeypatch):
+    return verify.translation_law(case.spec, case.points[1:])
+
+
+@corrupts(verify.class_bijection)
+def _(case, monkeypatch):
+    return verify.class_bijection(M, N, case.points, case.functions[1:])
+
+
+@corrupts(verify.round_trip)
+def _(case, monkeypatch):
+    # one parking function lifts to the point of another
+    lift, stray = verify.parking_to_lattice, case.functions[3]
+    monkeypatch.setattr(
+        verify,
+        "parking_to_lattice",
+        lambda a, spec: lift(case.functions[0] if a == stray else a, spec),
+    )
+    return verify.round_trip(case.spec, case.points, case.functions)
+
+
+@corrupts(verify.equivariance)
+def _(case, monkeypatch):
+    # sorting every parking image forgets which coordinate parked where
+    image = verify.lattice_to_parking
+    monkeypatch.setattr(
+        verify, "lattice_to_parking", lambda x, spec: tuple(sorted(image(x, spec)))
+    )
+    return verify.equivariance(case.spec, case.points, random.Random(5), 20)
+
+
+@corrupts(verify.regular_orbit_routes)
+def _(case, monkeypatch):
+    return verify.regular_orbit_routes(M, N, case.points, case.dyck[1:])
+
+
+@corrupts(verify.orbit_to_dyck_bijection)
+def _(case, monkeypatch):
+    return verify.orbit_to_dyck_bijection(case.functions, case.dyck[1:])
+
+
+@corrupts(verify.tree_count_closed_form)
+def _(case, monkeypatch):
+    return verify.tree_count_closed_form(M, N, build_graph(M + 1, N))
+
+
+@corrupts(verify.contracted_closed_form)
+def _(case, monkeypatch):
+    finest = tuple((i,) for i in range(1, N + 1))
+    return verify.contracted_closed_form(M, N, {**case.trees, finest: case.trees[finest] + 1})
+
+
+@corrupts(verify.tree_count_equals_lattice_count)
+def _(case, monkeypatch):
+    return verify.tree_count_equals_lattice_count(
+        ZonotopeSpec(M + 1, N, verify.sample_taus(M + 1, N)[0]), case.graph
+    )
+
+
+@corrupts(verify.volume_by_bases_agrees)
+def _(case, monkeypatch):
+    return verify.volume_by_bases_agrees(M, N, build_graph(M + 1, N))
+
+
+@corrupts(verify.invariant_point_identity)
+def _(case, monkeypatch):
+    coarsest = (tuple(range(1, N + 1)),)
+    return verify.invariant_point_identity(
+        case.spec, {**case.trees, coarsest: case.trees[coarsest] + 1}
+    )
+
+
+@corrupts(verify.stabilizer_refinement_identity)
+def _(case, monkeypatch):
+    return verify.stabilizer_refinement_identity(case.points[1:], case.trees)
+
+
+@corrupts(verify.table_size)
+def _(case, monkeypatch):
+    table = case.tables[-1]
+    return verify.table_size([*case.tables, replace(table, weights=table.weights[1:])])
+
+
+@corrupts(verify.color_window)
+def _(case, monkeypatch):
+    table = case.tables[0]
+    top = max(sum(w) for w in table.weights)
+    kept = tuple(w for w in table.weights if sum(w) != top)
+    return verify.color_window([replace(table, weights=kept)])
+
+
+@corrupts(verify.weight_translation)
+def _(case, monkeypatch):
+    table = case.tables[0]
+    return verify.weight_translation([replace(table, weights=table.weights[::-1])])
+
+
+@corrupts(verify.staircase_shift_bijection)
+def _(case, monkeypatch):
+    table = case.tables[0]
+    return verify.staircase_shift_bijection(replace(table, weights=table.weights[1:]))
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_invariant_reports_a_corrupted_input(case, monkeypatch, name):
+    detail = CORRUPTIONS[name](case, monkeypatch)
+    assert isinstance(detail, str) and detail, f"{name} accepted a corrupted input"
+
+
+def test_every_invariant_has_a_corrupted_input():
+    names = {r.name for r in verify.run_checks(max_m=1, max_n=2)}
+    assert names == set(CORRUPTIONS)
+
+
+# -- the size guard and the full partition sweep at n = 7 ----------------------
+
+
+def test_run_checks_skips_volume_by_bases_above_its_size_limit(monkeypatch):
     # verify --max-n 7 --max-m 1 used to reach volume_by_bases(1, 7), which
-    # refuses that size; only the finest partition is kept so the guard is
-    # reached without the full Bell(7) partition sweep
-    m, n = 1, 7
+    # refuses that size.  Only the finest partition is kept, and every check
+    # outside the tree layer answers at once, so the grid up to n = 7 is
+    # reached without the Bell(7) partition sweep or the parking checks.
     with pytest.raises(ValueError):
-        verify.volume_by_bases(m, n)
-    finest = tuple((i,) for i in range(1, n + 1))
-    monkeypatch.setattr(verify, "enumerate_partitions", lambda size: (finest,))
-    suite = verify._Suite(verify.DEFAULT_SEED)
-    suite.check_trees(m, n)
-    names = [r.name for r in suite.results]
-    assert "volume_by_bases_agrees" not in names
-    assert "tree_count_equals_lattice_count" in names
-    assert all(r.ok for r in suite.results), [r for r in suite.results if not r.ok]
-
-
-def test_check_trees_at_n7_runs_every_partition():
-    # all Bell(7) = 877 partitions, with the invariant-point counts taken
-    # from the representatives instead of a window^#blocks scan
-    suite = verify._Suite(verify.DEFAULT_SEED)
-    suite.check_trees(1, 7)
-    assert [r.name for r in suite.results] == [
+        verify.volume_by_bases(1, 7)
+    monkeypatch.setattr(
+        verify, "enumerate_partitions", lambda size: (tuple((i,) for i in range(1, size + 1)),)
+    )
+    monkeypatch.setattr(verify, "enumerate_parking_functions", lambda m, n: [])
+    for name in set(CORRUPTIONS) - TREE_CHECKS:
+        answer = functools.wraps(getattr(verify, name))(lambda *inputs: "")
+        monkeypatch.setattr(verify, name, answer)
+    results = verify.run_checks(max_m=1, max_n=7)
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
+    tree_names = {
+        n: [r.name for r in results if r.name in TREE_CHECKS and r.params["n"] == n]
+        for n in (6, 7)
+    }
+    assert tree_names[6] == [
         "tree_count_closed_form",
         "contracted_closed_form",
         "tree_count_equals_lattice_count",
+        "volume_by_bases_agrees",
         "invariant_point_identity",
         "stabilizer_refinement_identity",
     ]
-    assert all(r.ok for r in suite.results), [r for r in suite.results if not r.ok]
+    assert tree_names[7] == [name for name in tree_names[6] if name != "volume_by_bases_agrees"]
+
+
+def test_tree_invariants_at_n7_run_every_partition():
+    # all Bell(7) = 877 partitions, with the invariant-point counts taken
+    # from the representatives instead of a window^#blocks scan
+    m, n = 1, 7
+    spec = ZonotopeSpec(m, n, verify.sample_taus(m, n)[0])
+    graph = build_graph(m, n)
+    trees = verify.contracted_tree_counts(graph)
+    assert len(trees) == 877
+    details = [
+        verify.tree_count_closed_form(m, n, graph),
+        verify.contracted_closed_form(m, n, trees),
+        verify.tree_count_equals_lattice_count(spec, graph),
+        verify.invariant_point_identity(spec, trees),
+        verify.stabilizer_refinement_identity(enumerate_lattice_points(spec), trees),
+    ]
+    assert details == [""] * 5

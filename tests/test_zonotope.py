@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 from itertools import permutations
 
@@ -177,6 +178,18 @@ def test_count_matches_enumeration_on_grid():
             for tau in sample_taus(m, n, 2):
                 spec = ZonotopeSpec(m, n, tau)
                 assert count_lattice_points(spec) == len(enumerate_lattice_points(spec))
+
+
+def test_representatives_live_and_die_with_their_spec():
+    spec = ZonotopeSpec(3, 5, parse_scalar("53/8"))
+    assert count_lattice_points(spec) == 16**4
+    assert spec.representatives == tuple(dominant_points(spec))
+    # equality and hashing stay on (m, n, tau) once the scan is kept
+    twin = ZonotopeSpec(3, 5, parse_scalar("53/8"))
+    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+    ref = weakref.ref(spec)
+    del spec
+    assert ref() is None
 
 
 @settings(max_examples=80, deadline=None)
