@@ -27,6 +27,8 @@ from .zonotope import (
 )
 from .orbits import (
     is_regular,
+    iter_orbit,
+    merge_orbits,
     normalize_partition,
     orbit_of,
     orbit_size,
@@ -38,6 +40,7 @@ from .parking import (
     enumerate_dyck_paths,
     enumerate_parking_functions,
     fuss_catalan,
+    increasing_parking_functions,
     is_parking_function,
     lattice_to_parking,
     orbit_to_dyck,

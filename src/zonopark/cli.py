@@ -5,12 +5,14 @@ followed by any record-specific fields and a ``payload``.  Output contains
 integers, strings and nulls only; never floating point.  Identical
 arguments always produce byte-identical output.
 
-Records are written as they are made, so an error can end the output
-after some records.  Exit codes: 0 success, 1 verification failure,
-2 usage or parse error, 3 admissibility violation, 4 internal error (any
-other exception, reported as ``error: internal: ...`` and a traceback),
-141 (128 + SIGPIPE) when the reader closes stdout before the output ends,
-with nothing on stderr.
+Every command writes each record as it is made, so an error can end the
+output after some records.  ``enumerate``, ``bijection`` and ``parking``
+hold only the orbit representatives, never the points; ``verify`` writes
+each check as it finishes and settles its exit code after the last one.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+3 admissibility violation, 4 internal error (any other exception, reported
+as ``error: internal: ...`` and a traceback), 141 (128 + SIGPIPE) when the
+reader closes stdout before the output ends, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .orbits import normalize_partition
-from .parking import enumerate_dyck_paths, enumerate_parking_functions, fuss_catalan, lattice_to_parking
+from .orbits import merge_orbits, normalize_partition
+from .parking import enumerate_dyck_paths, fuss_catalan, increasing_parking_functions, lattice_to_parking
 from .scalars import parse_scalar
 from .tilting import color_blocks, t_grid, tilting_weights
 from .treecount import build_graph, contract, regular_orbit_count_mobius, spanning_tree_count
 from .verify import DEFAULT_SEED, run_checks
-from .zonotope import NotAdmissibleError, ZonotopeSpec, enumerate_lattice_points
+from .zonotope import NotAdmissibleError, ZonotopeSpec
 
 
 class UsageError(ValueError):
@@ -36,10 +38,7 @@ class UsageError(ValueError):
 
 
 def _record(kind: str, m, n, tau, payload, **extra) -> dict:
-    record = {"kind": kind, "m": m, "n": n, "tau": tau}
-    record.update(extra)
-    record["payload"] = payload
-    return record
+    return {"kind": kind, "m": m, "n": n, "tau": tau, **extra, "payload": payload}
 
 
 def _parse_tau(text: str):
@@ -56,15 +55,6 @@ def _admissible_spec(args) -> ZonotopeSpec:
             f"tau = {spec.tau} is not admissible for m={args.m}, n={args.n}"
         )
     return spec
-
-
-def _counted(records, m, n, tau):
-    """Yield each record, then a summary record holding their count."""
-    count = 0
-    for record in records:
-        count += 1
-        yield record
-    yield _record("summary", m, n, tau, {"count": count})
 
 
 def _parse_partition(text: str, n: int):
@@ -84,72 +74,65 @@ def _partition_text(blocks) -> str:
 
 # -- command handlers -------------------------------------------------------
 #
-# Streaming commands check their arguments before returning a lazy record
-# iterator, so usage and admissibility errors arrive before any output.
+# Every handler is a generator: it checks its arguments, yields each record
+# as it is made and returns its exit code.  The checks come first, so usage
+# and admissibility errors arrive before any output.
 
 
 def _cmd_enumerate(args):
     spec = _admissible_spec(args)
     tau_text = str(spec.tau)
-    records = (
-        _record("point", args.m, args.n, tau_text, list(point))
-        for point in enumerate_lattice_points(spec)
-    )
-    return _counted(records, args.m, args.n, tau_text), 0
+    count = 0
+    for count, point in enumerate(merge_orbits(spec.representatives), 1):
+        yield _record("point", args.m, args.n, tau_text, list(point))
+    yield _record("summary", args.m, args.n, tau_text, {"count": count})
+    return 0
 
 
 def _cmd_bijection(args):
     spec = _admissible_spec(args)
     tau_text = str(spec.tau)
-    records = (
-        _record(
-            "pair",
-            args.m,
-            args.n,
-            tau_text,
-            {"lattice": list(point), "parking": list(lattice_to_parking(point, spec))},
-        )
-        for point in enumerate_lattice_points(spec)
-    )
-    return _counted(records, args.m, args.n, tau_text), 0
+    count = 0
+    for count, point in enumerate(merge_orbits(spec.representatives), 1):
+        payload = {"lattice": list(point), "parking": list(lattice_to_parking(point, spec))}
+        yield _record("pair", args.m, args.n, tau_text, payload)
+    yield _record("summary", args.m, args.n, tau_text, {"count": count})
+    return 0
 
 
 def _cmd_parking(args):
-    records = (
-        _record("parking", args.m, args.n, None, list(a))
-        for a in enumerate_parking_functions(args.m, args.n)
-    )
-    return _counted(records, args.m, args.n, None), 0
+    count = 0
+    for count, a in enumerate(merge_orbits(increasing_parking_functions(args.m, args.n)), 1):
+        yield _record("parking", args.m, args.n, None, list(a))
+    yield _record("summary", args.m, args.n, None, {"count": count})
+    return 0
 
 
 def _cmd_dyck(args):
-    records = (
-        _record("dyck", args.m, args.n, None, list(a))
-        for a in enumerate_dyck_paths(args.m, args.n)
-    )
-    return _counted(records, args.m, args.n, None), 0
+    count = 0
+    for count, a in enumerate(enumerate_dyck_paths(args.m, args.n), 1):
+        yield _record("dyck", args.m, args.n, None, list(a))
+    yield _record("summary", args.m, args.n, None, {"count": count})
+    return 0
 
 
 def _cmd_catalan(args):
-    return [_record("catalan", args.m, args.n, None, fuss_catalan(args.m, args.n))], 0
+    yield _record("catalan", args.m, args.n, None, fuss_catalan(args.m, args.n))
+    return 0
 
 
 def _cmd_trees(args):
-    graph = build_graph(args.m, args.n)
-    if args.partition is None:
-        return [_record("trees", args.m, args.n, None, spanning_tree_count(graph))], 0
-    blocks = _parse_partition(args.partition, args.n)
-    count = spanning_tree_count(contract(graph, blocks))
-    record = _record(
-        "trees", args.m, args.n, None, count, partition=_partition_text(blocks)
-    )
-    return [record], 0
+    graph, extra = build_graph(args.m, args.n), {}
+    if args.partition is not None:
+        blocks = _parse_partition(args.partition, args.n)
+        graph, extra = contract(graph, blocks), {"partition": _partition_text(blocks)}
+    yield _record("trees", args.m, args.n, None, spanning_tree_count(graph), **extra)
+    return 0
 
 
 def _cmd_mobius_count(args):
-    return [
-        _record("mobius_count", args.m, args.n, None, regular_orbit_count_mobius(args.m, args.n))
-    ], 0
+    yield _record("mobius_count", args.m, args.n, None, regular_orbit_count_mobius(args.m, args.n))
+    return 0
 
 
 def _cmd_tilting(args):
@@ -161,35 +144,28 @@ def _cmd_tilting(args):
         raise UsageError(f"t = {t} is not on the grid for n = {args.n}")
     table = tilting_weights(args.m, args.n, t, window=args.window)
     tau_text = str(table.tau)
-    records = []
     histogram = {}
     for block in color_blocks(table):
         histogram[str(block.color)] = len(block.weights)
         for xi in block.weights:
-            records.append(
-                _record("weight", args.m, args.n, tau_text, list(xi), color=block.color)
-            )
+            yield _record("weight", args.m, args.n, tau_text, list(xi), color=block.color)
     summary = {"t": str(t), "count": len(table.weights), "colors": histogram}
-    records.append(_record("summary", args.m, args.n, tau_text, summary))
-    return records, 0
+    yield _record("summary", args.m, args.n, tau_text, summary)
+    return 0
 
 
 def _cmd_verify(args):
-    results = run_checks(max_m=args.max_m, max_n=args.max_n, seed=args.seed)
-    records = []
-    failures = 0
-    for result in results:
-        failures += 0 if result.ok else 1
+    # failures are counted here rather than returned by run_checks, since a
+    # wrapper around a public generator, such as a tracer's, drops its return value
+    checks = failures = 0
+    for checks, result in enumerate(run_checks(args.max_m, args.max_n, args.seed), 1):
+        failures += not result.ok
         payload = {"name": result.name, "ok": result.ok}
         if result.detail:
             payload["detail"] = result.detail
-        records.append(
-            _record("check", result.params.get("m"), result.params.get("n"), None, payload)
-        )
-    records.append(
-        _record("summary", None, None, None, {"checks": len(results), "failures": failures})
-    )
-    return records, 0 if failures == 0 else 1
+        yield _record("check", result.params.get("m"), result.params.get("n"), None, payload)
+    yield _record("summary", None, None, None, {"checks": checks, "failures": failures})
+    return 1 if failures else 0
 
 
 # -- output -----------------------------------------------------------------
@@ -209,12 +185,16 @@ def _flatten(value, nested: bool = False) -> str:
     return str(value)
 
 
-def _emit(records, fmt: str, out) -> None:
-    if fmt == "json":
-        for record in records:
+def _emit(records, fmt: str, out) -> int:
+    """Write each record a handler yields; return the exit code it returns."""
+    while True:
+        try:
+            record = next(records)
+        except StopIteration as done:
+            return done.value
+        if fmt == "json":
             out.write(json.dumps(record, separators=(",", ":")) + "\n")
-    else:
-        for record in records:
+        else:
             out.write("\t".join(_flatten(v) for v in record.values()) + "\n")
 
 
@@ -325,8 +305,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_fuse_flag_values(raw))
     try:
-        records, code = args.handler(args)
-        _emit(records, args.format, sys.stdout)
+        code = _emit(args.handler(args), args.format, sys.stdout)
         # a closed pipe must show here, not in the flush at interpreter exit
         sys.stdout.flush()
     except UsageError as exc:

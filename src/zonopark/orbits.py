@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
+from collections.abc import Iterator
 
 
 def normalize_partition(blocks, n: int) -> tuple[tuple[int, ...], ...]:
@@ -47,30 +49,40 @@ def orbit_size(x) -> int:
     return size
 
 
-def orbit_of(x) -> list[tuple[int, ...]]:
-    """All distinct coordinate permutations of x, in lexicographic order."""
-    items = sorted(Counter(x).items())
-    values = [v for v, _ in items]
-    counts = [c for _, c in items]
-    out: list[tuple[int, ...]] = []
-    current: list = []
-    n = len(x)
+def iter_orbit(x) -> Iterator[tuple[int, ...]]:
+    """Yield the distinct coordinate permutations of x in lexicographic order.
 
-    def emit():
-        if len(current) == n:
-            out.append(tuple(current))
+    The one orbit generator: from the sorted coordinates it steps to the next
+    permutation in place, holding only the current arrangement.
+    """
+    items = sorted(x)
+    last = len(items) - 1
+    while True:
+        yield tuple(items)
+        # the rightmost ascent is the entry that grows next
+        i = last - 1
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for idx, value in enumerate(values):
-            if counts[idx] == 0:
-                continue
-            counts[idx] -= 1
-            current.append(value)
-            emit()
-            current.pop()
-            counts[idx] += 1
+        j = last
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1 :] = items[:i:-1]
 
-    emit()
-    return out
+
+def orbit_of(x) -> list[tuple[int, ...]]:
+    """All distinct coordinate permutations of x, in lexicographic order, as a list."""
+    return list(iter_orbit(x))
+
+
+def merge_orbits(reps) -> Iterator[tuple[int, ...]]:
+    """The union of the orbits of reps (one per orbit), lazily in lexicographic order.
+
+    It holds one ``iter_orbit`` generator per representative, never the points.
+    """
+    return heapq.merge(*map(iter_orbit, reps))
 
 
 def regular_orbit_reps(points) -> list[tuple[int, ...]]:

@@ -19,10 +19,10 @@ representatives are the (mn+1)^(n-1) residue vectors ending in 0.
 
 from __future__ import annotations
 
-import heapq
 import math
+from itertools import chain
 
-from .orbits import orbit_of
+from .orbits import iter_orbit
 from .zonotope import Location, NotAdmissibleError, ZonotopeSpec, contains
 
 
@@ -32,8 +32,8 @@ def is_parking_function(values, m: int, n: int) -> bool:
     return len(ascending) == n and all(0 <= v <= m * j for j, v in enumerate(ascending))
 
 
-def _increasing_under(n: int, slope: int) -> list[tuple[int, ...]]:
-    """Weakly increasing a with 0 <= a_j <= slope*(j-1), in lexicographic order."""
+def increasing_parking_functions(m: int, n: int) -> list[tuple[int, ...]]:
+    """The weakly increasing a with 0 <= a_j <= m(j-1), one per orbit, in lexicographic order."""
     sequences: list[tuple[int, ...]] = []
     sequence: list[int] = []
 
@@ -42,7 +42,7 @@ def _increasing_under(n: int, slope: int) -> list[tuple[int, ...]]:
             sequences.append(tuple(sequence))
             return
         start = sequence[-1] if sequence else 0
-        for value in range(start, slope * j + 1):
+        for value in range(start, m * j + 1):
             sequence.append(value)
             extend(j + 1)
             sequence.pop()
@@ -54,17 +54,19 @@ def _increasing_under(n: int, slope: int) -> list[tuple[int, ...]]:
 def enumerate_parking_functions(m: int, n: int) -> list[tuple[int, ...]]:
     """All (m, n)-parking functions in lexicographic order.
 
-    The weakly increasing parking functions are generated directly, and the
-    lex-ordered orbits of their coordinate permutations are merged.
+    The sorted orbits of the weakly increasing ones; ``merge_orbits`` streams them.
     """
-    return list(heapq.merge(*map(orbit_of, _increasing_under(n, m))))
+    return sorted(chain.from_iterable(map(iter_orbit, increasing_parking_functions(m, n))))
 
 
 def enumerate_dyck_paths(m: int, n: int) -> list[tuple[int, ...]]:
-    """Weakly increasing a with a_j <= (m-1)(j-1), in lexicographic order."""
+    """Weakly increasing a with a_j <= (m-1)(j-1), in lexicographic order.
+
+    They are the weakly increasing (m-1, n)-parking functions.
+    """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    return _increasing_under(n, m - 1)
+    return increasing_parking_functions(m - 1, n)
 
 
 def fuss_catalan(m: int, n: int) -> int:

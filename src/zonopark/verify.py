@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .orbits import is_regular, regular_orbit_reps, stabilizer_partition
+from .orbits import regular_orbit_reps, stabilizer_partition
 from .parking import (
     canonical_class,
     enumerate_dyck_paths,
@@ -106,6 +107,10 @@ def _differ(got, want) -> str:
         return ""
     extra, missing = sorted(set(got) - set(want))[:3], sorted(set(want) - set(got))[:3]
     return f"{len(got)} vs {len(want)}: unexpected {extra}, missing {missing}"
+
+
+def _strictly_decreasing(p: Point) -> bool:
+    return all(a > b for a, b in zip(p, p[1:]))
 
 
 def _unequal(got, want, what: str) -> str:
@@ -251,7 +256,8 @@ def equivariance(spec: ZonotopeSpec, points: list[Point], rng: random.Random, sa
 
 def regular_orbit_routes(m: int, n: int, points: list[Point], dyck: list[Point]) -> str:
     """Regular orbits, Dyck paths, Mobius inversion and Fuss-Catalan give one count."""
-    orbits, mobius = len(regular_orbit_reps(points)), regular_orbit_count_mobius(m, n)
+    # on permutation-closed points each regular orbit has one strictly decreasing member
+    orbits, mobius = sum(map(_strictly_decreasing, points)), regular_orbit_count_mobius(m, n)
     routes = dict(orbits=orbits, dyck=len(dyck), mobius=mobius, closed_form=fuss_catalan(m, n))
     return "" if len(set(routes.values())) == 1 else str(routes)
 
@@ -350,27 +356,26 @@ def weight_translation(tables: list[WeightTable]) -> str:
 
 def staircase_shift_bijection(table: WeightTable) -> str:
     """Adding the staircase to the weights gives the regular dominant points."""
-    points = enumerate_lattice_points(ZonotopeSpec(table.m, table.n, table.tau))
-    regular_dominant = {
-        p for p in points if is_regular(p) and all(a > b for a, b in zip(p, p[1:]))
-    }
+    # a strictly decreasing point is the representative of its own orbit
+    reps = ZonotopeSpec(table.m, table.n, table.tau).representatives
+    regular_dominant = set(filter(_strictly_decreasing, reps))
     steps = staircase(table.n)
     lifted = {tuple(w + s for w, s in zip(xi, steps)) for xi in table.weights}
     return _differ(lifted, regular_dominant)
 
 
-def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run every invariant for 1 <= m <= max_m, 1 <= n <= max_n, in record order."""
+def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> Iterator[CheckResult]:
+    """Each invariant's result for 1 <= m <= max_m, 1 <= n <= max_n, yielded as it is made."""
     rng = random.Random(seed)
-    results: list[CheckResult] = []
 
-    def run(params: dict, checks) -> None:
+    def run(params: dict, checks) -> Iterator[CheckResult]:
         for check, *inputs in checks:
             detail = check(*inputs)
-            results.append(CheckResult(check.__name__, params, not detail, detail))
+            yield CheckResult(check.__name__, params, not detail, detail)
 
-    run({}, [(scalar_total_order, rng), (scalar_floor_ceil,), (scalar_text_round_trip, rng)])
-    run({"max_n": COMPOSITION_MAX_N}, [(composition_identity,)])
+    scalar_checks = [(scalar_total_order, rng), (scalar_floor_ceil,), (scalar_text_round_trip, rng)]
+    yield from run({}, scalar_checks)
+    yield from run({"max_n": COMPOSITION_MAX_N}, [(composition_identity,)])
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
             # inputs shared by several checks of this (m, n), made once
@@ -383,7 +388,7 @@ def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> list
             inadmissible = [ZonotopeSpec(m, n, tau) for tau in inadmissible_taus(m, n, 3)]
             # the subset count of volume_by_bases explodes beyond these sizes
             bases = n <= VOLUME_BY_BASES_MAX_N and (n <= 4 or m <= 2)
-            run(
+            yield from run(
                 {"m": m, "n": n},
                 [
                     (support_width, spec),
@@ -408,4 +413,3 @@ def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> list
                     (staircase_shift_bijection, tables[0]),
                 ],
             )
-    return results

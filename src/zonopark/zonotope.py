@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 
-from .orbits import normalize_partition, orbit_of, orbit_size
+from .orbits import iter_orbit, normalize_partition, orbit_size
 from .scalars import EpsRational, as_eps_rational
 
 
@@ -216,12 +216,11 @@ def dominant_points(spec: ZonotopeSpec, *, strict: bool = False) -> list[tuple[i
 
 
 def enumerate_lattice_points(spec: ZonotopeSpec) -> list[tuple[int, ...]]:
-    """All integer points of the zonotope (boundary included), lex order."""
-    points: list[tuple[int, ...]] = []
-    for rep in spec.representatives:
-        points.extend(orbit_of(rep))
-    points.sort()
-    return points
+    """All integer points of the zonotope (boundary included), lex order.
+
+    The sorted orbits of the representatives; ``merge_orbits`` streams them.
+    """
+    return sorted(chain.from_iterable(map(iter_orbit, spec.representatives)))
 
 
 def count_lattice_points(spec: ZonotopeSpec) -> int:

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -200,6 +202,85 @@ def test_verify_output_is_pinned(capsys, args):
     code, out, err = run_cli(capsys, *args)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_OUTPUT_SHA256[args]
+
+
+# sha256 of the full stdout of each run, taken from the version that built
+# every point list before writing its first record and whose verify wrote
+# nothing until its grid was done, so the orbit stream and the generator
+# handlers must reproduce every byte
+COMMAND_OUTPUT_SHA256 = {
+    ("enumerate", "--m", "2", "--n", "4", "--tau", "3-eps"):
+        "70bfc426471a920634c2a709f4a9251f5a774ef4568d61bb77e0c8d30ff883ce",
+    ("enumerate", "--m", "3", "--n", "3", "--tau", "31/8", "--format", "tsv"):
+        "7e87633a3a7f8b36abf43bb4a2a7a2a1ce9f7b2c38e888d5adf323d840e56b3a",
+    # admissible, and its first point [-3,-2,0] has negative coordinates
+    ("enumerate", "--m", "2", "--n", "3", "--tau", "-7/4"):
+        "e8adc2b11fdae9d21e982d945af8751ac3642318a11dc356cac827efb7b92e1f",
+    ("enumerate", "--m", "2", "--n", "3", "--tau", "-7/4", "--format", "tsv"):
+        "0f28295620a51eab432287a4839e6345de24e6371f5527e8ec7afd4c051ca56a",
+    ("dyck", "--m", "3", "--n", "5"):
+        "a9b5dd72e7fc3225678b40d936fab839be8b49b9653df5cbaceead22971035d3",
+    ("dyck", "--m", "2", "--n", "6", "--format", "tsv"):
+        "a5313ca6d78de1ccef92d7a0fd2a294c5a124e739882b1eb2463275a846561b0",
+    ("tilting", "--m", "2", "--n", "6", "--t", "-1/3", "--format", "tsv"):
+        "1f150c1ca3c6eb19c2ad569418b42ef26857acb806698032f43ca41e4f4f978e",
+    ("verify", "--max-n", "3", "--max-m", "2", "--format", "tsv"):
+        "e7d97d71f587976f6177366d4843982ad6e8a3d3e6192fb95a5b7ffac9359724",
+    ("trees", "--m", "3", "--n", "4", "--partition", "1,3|2|4"):
+        "9d7ef87af21610c0e9ea713bf9d00e5f8dc149034f56f54e7830d66aeff3e5c8",
+    ("trees", "--m", "2", "--n", "5", "--partition", "2|1,4,5|3", "--format", "tsv"):
+        "96e19905afa7c28e7e009e81f8f22f4a8b119e6ee13b46b1ba90f13662e7fbc1",
+    ("catalan", "--m", "3", "--n", "6"):
+        "b32ec9fb61e18c67b033283290ec8e84e07ba383fd67c3e52f32dc8f8b8513be",
+    ("catalan", "--m", "2", "--n", "9", "--format", "tsv"):
+        "37aca46e9251cd6d3d3b519bac71e310d1e9a06a8fa97fa60284b29bf08ba3f5",
+    ("mobius-count", "--m", "2", "--n", "6"):
+        "0709d969bc62536dd56c926c1175e0b81ea5ed247332ce736fc56ae6b953bdcb",
+    ("mobius-count", "--m", "3", "--n", "5", "--format", "tsv"):
+        "b651b74d7edc9f8c8041c7a8b690179eea5931e03938e981bc56194bd54873fb",
+}
+
+
+@pytest.mark.parametrize("args", sorted(COMMAND_OUTPUT_SHA256))
+def test_command_output_is_pinned(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_OUTPUT_SHA256[args]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("enumerate", "--m", "2", "--n", "5", "--tau", "4-eps"), ("parking", "--m", "2", "--n", "5")],
+)
+def test_streaming_commands_hold_only_the_representatives(monkeypatch, args):
+    # 14,641 records each; holding them all as tuples peaks above 1.2 MiB,
+    # while the merged orbit stream holds one generator per representative
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(list(args))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    def scalar_floor_ceil():
+        return "floor, ceil broken on purpose"
+
+    monkeypatch.setattr("zonopark.verify.scalar_floor_ceil", scalar_floor_ceil)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "1", "--max-m", "1")
+    assert code == 1 and err == ""
+    records = json_lines(out)
+    failed = [r["payload"] for r in records if r["kind"] == "check" and not r["payload"]["ok"]]
+    assert failed == [
+        {"name": "scalar_floor_ceil", "ok": False, "detail": "floor, ceil broken on purpose"}
+    ]
+    assert records[-1]["kind"] == "summary"
+    assert records[-1]["payload"] == {"checks": len(records) - 1, "failures": 1}
 
 
 def test_verify_bounds_must_be_positive(capsys):

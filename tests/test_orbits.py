@@ -1,10 +1,15 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zonopark.orbits import (
     is_regular,
+    iter_orbit,
+    merge_orbits,
     normalize_partition,
     orbit_of,
     orbit_size,
@@ -38,6 +43,27 @@ def test_orbit_of_and_size():
         orbit = orbit_of(x)
         assert len(orbit) == orbit_size(x) == len(set(orbit))
         assert orbit == sorted(orbit)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6).map(tuple))
+def test_orbit_of_is_every_distinct_permutation_in_lex_order(x):
+    assert orbit_of(x) == sorted(set(itertools.permutations(x)))
+
+
+def test_iter_orbit_is_lazy():
+    orbit = iter_orbit(range(12, 0, -1))
+    assert next(orbit) == tuple(range(1, 13))
+    assert next(orbit) == (*range(1, 11), 12, 11)
+
+
+def test_merge_orbits_is_the_sorted_union_of_the_orbits():
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        reps = {tuple(sorted(rng.choices(range(-2, 3), k=n))) for _ in range(rng.randint(1, 8))}
+        merged = merge_orbits(sorted(reps, reverse=True))
+        assert not isinstance(merged, list)
+        assert list(merged) == sorted(p for rep in reps for p in orbit_of(rep))
 
 
 def test_regular_orbit_reps_examples():

@@ -42,7 +42,7 @@ def case():
 
 
 def test_every_invariant_holds_on_the_true_inputs():
-    results = verify.run_checks(max_m=M, max_n=N, seed=5)
+    results = list(verify.run_checks(max_m=M, max_n=N, seed=5))
     assert all(r.ok and r.detail == "" for r in results), [r for r in results if not r.ok]
 
 
@@ -237,6 +237,24 @@ def test_every_invariant_has_a_corrupted_input():
     assert names == set(CORRUPTIONS)
 
 
+def test_run_checks_yields_each_result_as_it_is_made(monkeypatch):
+    # the scalar and composition results come before any (m, n) input is built
+    def unreachable(spec):
+        raise RuntimeError("lattice points built before the first results")
+
+    monkeypatch.setattr(verify, "enumerate_lattice_points", unreachable)
+    results = verify.run_checks(max_m=1, max_n=1)
+    first = [next(results).name for _ in range(4)]
+    assert first == [
+        "scalar_total_order",
+        "scalar_floor_ceil",
+        "scalar_text_round_trip",
+        "composition_identity",
+    ]
+    with pytest.raises(RuntimeError, match="lattice points built"):
+        next(results)
+
+
 # -- the size guard and the full partition sweep at n = 7 ----------------------
 
 
@@ -254,7 +272,7 @@ def test_run_checks_skips_volume_by_bases_above_its_size_limit(monkeypatch):
     for name in set(CORRUPTIONS) - TREE_CHECKS:
         answer = functools.wraps(getattr(verify, name))(lambda *inputs: "")
         monkeypatch.setattr(verify, name, answer)
-    results = verify.run_checks(max_m=1, max_n=7)
+    results = list(verify.run_checks(max_m=1, max_n=7))
     assert all(r.ok for r in results), [r for r in results if not r.ok]
     tree_names = {
         n: [r.name for r in results if r.name in TREE_CHECKS and r.params["n"] == n]
