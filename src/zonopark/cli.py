@@ -7,8 +7,11 @@ arguments always produce byte-identical output.
 
 Every command writes each record as it is made, so an error can end the
 output after some records.  ``enumerate``, ``bijection`` and ``parking``
-hold only the orbit representatives, never the points; ``verify`` writes
-each check as it finishes and settles its exit code after the last one.
+hold only the orbit representatives, never the points; ``bijection`` maps
+each orbit once, on its representative, and relabels the coordinates of
+its points.  The bulk records render their constant part once per command
+and fill in their integer vectors.  ``verify`` writes each check as it
+finishes and settles its exit code after the last one.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 admissibility violation, 4 internal error (any other exception, reported
 as ``error: internal: ...`` and a traceback), 141 (128 + SIGPIPE) when the
@@ -35,10 +38,6 @@ from .zonotope import NotAdmissibleError, ZonotopeSpec
 
 class UsageError(ValueError):
     pass
-
-
-def _record(kind: str, m, n, tau, payload, **extra) -> dict:
-    return {"kind": kind, "m": m, "n": n, "tau": tau, **extra, "payload": payload}
 
 
 def _parse_tau(text: str):
@@ -75,49 +74,64 @@ def _partition_text(blocks) -> str:
 # -- command handlers -------------------------------------------------------
 #
 # Every handler is a generator: it checks its arguments, yields each record
-# as it is made and returns its exit code.  The checks come first, so usage
-# and admissibility errors arrive before any output.
+# as a line of text as soon as it is made and returns its exit code.  The
+# checks come first, so usage and admissibility errors arrive before any
+# output.  The bulk records (points, pairs, parking functions, Dyck paths
+# and weights) fill their integer vectors into a template rendered once.
 
 
 def _cmd_enumerate(args):
     spec = _admissible_spec(args)
     tau_text = str(spec.tau)
-    count = 0
-    for count, point in enumerate(merge_orbits(spec.representatives), 1):
-        yield _record("point", args.m, args.n, tau_text, list(point))
-    yield _record("summary", args.m, args.n, tau_text, {"count": count})
+    points = merge_orbits(spec.representatives)
+    count = yield from _vector_lines(args.format, "point", args.m, args.n, tau_text, points)
+    yield _line(args.format, "summary", args.m, args.n, tau_text, {"count": count})
     return 0
 
 
 def _cmd_bijection(args):
     spec = _admissible_spec(args)
     tau_text = str(spec.tau)
+    payload = {"lattice": [_SLOT], "parking": [_SLOT]}
+    head, middle, tail = _template(args.format, "pair", args.m, args.n, tau_text, payload)
+    modulus = args.m * args.n + 1
+    # The map is S_n-equivariant, so each orbit is mapped once, on its weakly
+    # decreasing representative, when the stream first reaches it, and its
+    # points are relabelled coordinate by coordinate.  Orbits with the same
+    # shift share one value -> image text table.
+    relabel_by_orbit: dict[tuple[int, ...], dict[int, str]] = {}
+    relabel_by_shift: dict[int, dict[int, str]] = {}
     count = 0
     for count, point in enumerate(merge_orbits(spec.representatives), 1):
-        payload = {"lattice": list(point), "parking": list(lattice_to_parking(point, spec))}
-        yield _record("pair", args.m, args.n, tau_text, payload)
-    yield _record("summary", args.m, args.n, tau_text, {"count": count})
+        rep = tuple(sorted(point, reverse=True))
+        relabel = relabel_by_orbit.get(rep)
+        if relabel is None:
+            image = lattice_to_parking(rep, spec)
+            relabel = relabel_by_shift.setdefault((rep[0] - image[0]) % modulus, {})
+            relabel.update(zip(rep, map(str, image)))
+            relabel_by_orbit[rep] = relabel
+        lattice, parking = ",".join(map(str, point)), ",".join(map(relabel.__getitem__, point))
+        yield head + lattice + middle + parking + tail
+    yield _line(args.format, "summary", args.m, args.n, tau_text, {"count": count})
     return 0
 
 
 def _cmd_parking(args):
-    count = 0
-    for count, a in enumerate(merge_orbits(increasing_parking_functions(args.m, args.n)), 1):
-        yield _record("parking", args.m, args.n, None, list(a))
-    yield _record("summary", args.m, args.n, None, {"count": count})
+    functions = merge_orbits(increasing_parking_functions(args.m, args.n))
+    count = yield from _vector_lines(args.format, "parking", args.m, args.n, None, functions)
+    yield _line(args.format, "summary", args.m, args.n, None, {"count": count})
     return 0
 
 
 def _cmd_dyck(args):
-    count = 0
-    for count, a in enumerate(enumerate_dyck_paths(args.m, args.n), 1):
-        yield _record("dyck", args.m, args.n, None, list(a))
-    yield _record("summary", args.m, args.n, None, {"count": count})
+    paths = enumerate_dyck_paths(args.m, args.n)
+    count = yield from _vector_lines(args.format, "dyck", args.m, args.n, None, paths)
+    yield _line(args.format, "summary", args.m, args.n, None, {"count": count})
     return 0
 
 
 def _cmd_catalan(args):
-    yield _record("catalan", args.m, args.n, None, fuss_catalan(args.m, args.n))
+    yield _line(args.format, "catalan", args.m, args.n, None, fuss_catalan(args.m, args.n))
     return 0
 
 
@@ -126,12 +140,13 @@ def _cmd_trees(args):
     if args.partition is not None:
         blocks = _parse_partition(args.partition, args.n)
         graph, extra = contract(graph, blocks), {"partition": _partition_text(blocks)}
-    yield _record("trees", args.m, args.n, None, spanning_tree_count(graph), **extra)
+    yield _line(args.format, "trees", args.m, args.n, None, spanning_tree_count(graph), **extra)
     return 0
 
 
 def _cmd_mobius_count(args):
-    yield _record("mobius_count", args.m, args.n, None, regular_orbit_count_mobius(args.m, args.n))
+    count = regular_orbit_count_mobius(args.m, args.n)
+    yield _line(args.format, "mobius_count", args.m, args.n, None, count)
     return 0
 
 
@@ -147,10 +162,11 @@ def _cmd_tilting(args):
     histogram = {}
     for block in color_blocks(table):
         histogram[str(block.color)] = len(block.weights)
-        for xi in block.weights:
-            yield _record("weight", args.m, args.n, tau_text, list(xi), color=block.color)
+        yield from _vector_lines(
+            args.format, "weight", args.m, args.n, tau_text, block.weights, color=block.color
+        )
     summary = {"t": str(t), "count": len(table.weights), "colors": histogram}
-    yield _record("summary", args.m, args.n, tau_text, summary)
+    yield _line(args.format, "summary", args.m, args.n, tau_text, summary)
     return 0
 
 
@@ -163,8 +179,10 @@ def _cmd_verify(args):
         payload = {"name": result.name, "ok": result.ok}
         if result.detail:
             payload["detail"] = result.detail
-        yield _record("check", result.params.get("m"), result.params.get("n"), None, payload)
-    yield _record("summary", None, None, None, {"checks": checks, "failures": failures})
+        m, n = result.params.get("m"), result.params.get("n")
+        yield _line(args.format, "check", m, n, None, payload)
+    summary = {"checks": checks, "failures": failures}
+    yield _line(args.format, "summary", None, None, None, summary)
     return 1 if failures else 0
 
 
@@ -185,17 +203,46 @@ def _flatten(value, nested: bool = False) -> str:
     return str(value)
 
 
-def _emit(records, fmt: str, out) -> int:
-    """Write each record a handler yields; return the exit code it returns."""
+def _line(fmt: str, kind: str, m, n, tau, payload, **extra) -> str:
+    """One record as a line of output: a JSON object, or tab-separated fields."""
+    record = {"kind": kind, "m": m, "n": n, "tau": tau, **extra, "payload": payload}
+    if fmt == "json":
+        return json.dumps(record, separators=(",", ":")) + "\n"
+    return "\t".join(_flatten(v) for v in record.values()) + "\n"
+
+
+# stands for an integer vector in a template; no rendered field contains it
+_SLOT = "@"
+
+
+def _template(fmt: str, kind: str, m, n, tau, payload, **extra) -> list[str]:
+    """The constant pieces of the records of one kind, rendered once.
+
+    ``payload`` holds ``[_SLOT]`` where each record has an integer vector.  A
+    record is the pieces with ``",".join(map(str, vector))`` between them,
+    which is how ``_line`` renders a vector in both formats.
+    """
+    slot = json.dumps(_SLOT) if fmt == "json" else _SLOT
+    return _line(fmt, kind, m, n, tau, payload, **extra).split(slot)
+
+
+def _vector_lines(fmt: str, kind: str, m, n, tau, vectors, **extra):
+    """Yield one record per integer vector, as its payload; return how many."""
+    head, tail = _template(fmt, kind, m, n, tau, [_SLOT], **extra)
+    count = 0
+    for count, vector in enumerate(vectors, 1):
+        yield head + ",".join(map(str, vector)) + tail
+    return count
+
+
+def _emit(lines, out) -> int:
+    """Write each line a handler yields; return the exit code it returns."""
     while True:
         try:
-            record = next(records)
+            line = next(lines)
         except StopIteration as done:
             return done.value
-        if fmt == "json":
-            out.write(json.dumps(record, separators=(",", ":")) + "\n")
-        else:
-            out.write("\t".join(_flatten(v) for v in record.values()) + "\n")
+        out.write(line)
 
 
 # -- parser -----------------------------------------------------------------
@@ -305,7 +352,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_fuse_flag_values(raw))
     try:
-        code = _emit(args.handler(args), args.format, sys.stdout)
+        code = _emit(args.handler(args), sys.stdout)
         # a closed pipe must show here, not in the flush at interpreter exit
         sys.stdout.flush()
     except UsageError as exc:

@@ -91,7 +91,13 @@ def canonical_class(x, m: int, n: int) -> tuple[int, ...]:
 
 
 def lattice_to_parking(x, spec: ZonotopeSpec) -> tuple[int, ...]:
-    """The unique parking function in the same quotient class as x."""
+    """The unique parking function in the same quotient class as x.
+
+    The shift depends only on the multiset of coordinates, so the image of a
+    permuted point is the same permutation of the image.  The ``bijection``
+    command therefore calls this once per orbit, on the weakly decreasing
+    representative, and relabels the coordinates of the orbit's points.
+    """
     if not spec.is_admissible():
         raise NotAdmissibleError(f"tau = {spec.tau} is not admissible")
     x = tuple(x)

@@ -15,6 +15,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .orbits import regular_orbit_reps, stabilizer_partition
 from .parking import (
@@ -45,7 +46,6 @@ from .treecount import (
     contracted_count_closed_form,
     composition_sum,
     enumerate_partitions,
-    refines,
     regular_orbit_count_mobius,
     spanning_tree_count,
     volume_by_bases,
@@ -312,11 +312,21 @@ def invariant_point_identity(spec: ZonotopeSpec, trees: dict[Partition, int]) ->
     return ""
 
 
+def _shared_pairs(blocks: Partition) -> int:
+    """One bit for each pair of positions that lie in the same block."""
+    n = sum(map(len, blocks))
+    return sum(1 << (i * n + j) for block in blocks for i, j in combinations(block, 2))
+
+
 def stabilizer_refinement_identity(points: list[Point], trees: dict[Partition, int]) -> str:
     """Contracted trees = block-size product * points whose stabilizer is coarser."""
     histogram = Counter(stabilizer_partition(p) for p in points)
+    # a partition refines a stabilizer iff the stabilizer keeps together
+    # every pair of positions the partition keeps together
+    shared = [(_shared_pairs(s), c) for s, c in histogram.items()]
     for blocks, count in trees.items():
-        coarser = sum(c for s, c in histogram.items() if refines(blocks, s))
+        pairs = _shared_pairs(blocks)
+        coarser = sum(c for together, c in shared if pairs & together == pairs)
         if count != math.prod(map(len, blocks)) * coarser:
             return f"{count} trees, {coarser} points with a coarser stabilizer at {blocks}"
     return ""

@@ -4,10 +4,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from zonopark.cli import main
+from zonopark.parking import lattice_to_parking
+from zonopark.scalars import EpsRational, parse_scalar
+from zonopark.verify import admissible_taus
+from zonopark.zonotope import ZonotopeSpec, enumerate_lattice_points
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +178,16 @@ STREAM_OUTPUT_SHA256 = {
         "b66a17b48f6b986b1471cb0c28397b32bafda9dfb73b0126c4413e06ed4142f3",
     ("bijection", "--m", "1", "--n", "5", "--tau", "2+eps", "--format", "tsv"):
         "6bd4bb623fa298ed9084e45581c48fb618c797ec1b2f000e97f995ac26ab96c6",
+    # the pins below were taken from the version that called
+    # lattice_to_parking on every point and json.dumps on every record;
+    # the first point here, [-3,-2,0], has negative coordinates
+    ("bijection", "--m", "2", "--n", "3", "--tau", "-7/4"):
+        "2d106fb77c842a4196cce38b27db54a7dd8cc0e306d247baed634dfeccf8b398",
+    ("bijection", "--m", "2", "--n", "3", "--tau", "-7/4", "--format", "tsv"):
+        "a00c67f3fef52ab5cfaf98583aca12df0c39eeefd1f0fa6bd1312bd5f5d31e89",
+    # two-digit values in the nested TSV payload
+    ("bijection", "--m", "3", "--n", "4", "--tau", "41/8", "--format", "tsv"):
+        "00cfb2d2e0c3dbfbd96c3b23f6901da4d41b2e25476b8830991cfce2272d979f",
     ("parking", "--m", "2", "--n", "5"):
         "88690747f371590686058d4657e25a6a3a3397515f781e473c470abc185f875b",
     ("parking", "--m", "3", "--n", "4", "--format", "tsv"):
@@ -250,11 +265,16 @@ def test_command_output_is_pinned(capsys, args):
 
 @pytest.mark.parametrize(
     "args",
-    [("enumerate", "--m", "2", "--n", "5", "--tau", "4-eps"), ("parking", "--m", "2", "--n", "5")],
+    [
+        ("enumerate", "--m", "2", "--n", "5", "--tau", "4-eps"),
+        ("parking", "--m", "2", "--n", "5"),
+        ("bijection", "--m", "2", "--n", "5", "--tau", "4-eps"),
+    ],
 )
 def test_streaming_commands_hold_only_the_representatives(monkeypatch, args):
     # 14,641 records each; holding them all as tuples peaks above 1.2 MiB,
     # while the merged orbit stream holds one generator per representative
+    # (and bijection one relabel table per shift)
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -265,6 +285,42 @@ def test_streaming_commands_hold_only_the_representatives(monkeypatch, args):
             tracemalloc.stop()
     assert code == 0
     assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_bijection_maps_each_orbit_once(monkeypatch):
+    calls = []
+
+    def counting(rep, spec):
+        calls.append(rep)
+        return lattice_to_parking(rep, spec)
+
+    monkeypatch.setattr("zonopark.cli.lattice_to_parking", counting)
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        code = main(["bijection", "--m", "3", "--n", "5", "--tau", "53/8"])
+    assert code == 0
+    # 969 calls for 65,536 pairs, each on a weakly decreasing representative
+    reps = ZonotopeSpec(3, 5, parse_scalar("53/8")).representatives
+    assert len(calls) == len(reps) == 969
+    assert set(calls) == set(reps)
+    assert all(type(rep) is tuple and list(rep) == sorted(rep, reverse=True) for rep in calls)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bijection_pairs_equal_the_map_point_by_point(capsys, m, n):
+    center = Fraction(m * (n - 1), 2)
+    rational = admissible_taus(m, n, 1)[0]
+    # a window midpoint, the center from below and above, and the midpoint
+    # moved down until every coordinate is negative
+    taus = [rational, EpsRational(center, -1), EpsRational(center, 1), rational - (m * (n - 1) + 2)]
+    for tau in taus:
+        spec = ZonotopeSpec(m, n, tau)
+        code, out, err = run_cli(capsys, "bijection", "--m", str(m), "--n", str(n), "--tau", str(tau))
+        assert code == 0 and err == ""
+        pairs = [r["payload"] for r in json_lines(out)[:-1]]
+        want = [(x, lattice_to_parking(x, spec)) for x in enumerate_lattice_points(spec)]
+        assert [(tuple(p["lattice"]), tuple(p["parking"])) for p in pairs] == want, str(tau)
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
@@ -329,16 +385,18 @@ def test_internal_error_exits_4(capsys, monkeypatch, error):
 
 
 def test_error_mid_stream_exits_4(capsys, monkeypatch):
-    def failing_pair(point, spec):
-        if point == (2, 0):
+    # bijection maps each orbit when the stream first reaches it; the orbit
+    # of (2, 1) starts mid-stream, at [1, 2], after [0, 2] and [1, 1]
+    def failing_pair(rep, spec):
+        if rep == (2, 1):
             raise RuntimeError("no parking function")
         return (0, 0)
 
     monkeypatch.setattr("zonopark.cli.lattice_to_parking", failing_pair)
     code, out, err = run_cli(capsys, "bijection", "--m", "2", "--n", "2", "--tau", "1-eps")
     assert code == 4
-    # the records before the failing point were already written
-    assert [r["payload"]["lattice"] for r in json_lines(out)] == [[0, 2], [1, 1], [1, 2]]
+    # the records before the failing orbit were already written
+    assert [r["payload"]["lattice"] for r in json_lines(out)] == [[0, 2], [1, 1]]
     assert err.startswith("error: internal: RuntimeError: no parking function")
 
 

@@ -232,6 +232,13 @@ def test_invariant_reports_a_corrupted_input(case, monkeypatch, name):
     assert isinstance(detail, str) and detail, f"{name} accepted a corrupted input"
 
 
+def test_stabilizer_refinement_identity_reports_each_wrong_tree_count(case):
+    # one tree count off by one, at each partition in turn
+    for blocks in case.trees:
+        trees = {**case.trees, blocks: case.trees[blocks] + 1}
+        assert verify.stabilizer_refinement_identity(case.points, trees), blocks
+
+
 def test_every_invariant_has_a_corrupted_input():
     names = {r.name for r in verify.run_checks(max_m=1, max_n=2)}
     assert names == set(CORRUPTIONS)
