@@ -9,9 +9,10 @@ Every command writes each record as it is made, so an error can end the
 output after some records.  ``enumerate``, ``bijection`` and ``parking``
 hold only the orbit representatives, never the points; ``bijection`` maps
 each orbit once, on its representative, and relabels the coordinates of
-its points.  The bulk records render their constant part once per command
-and fill in their integer vectors.  ``verify`` writes each check as it
-finishes and settles its exit code after the last one.
+its points.  ``dyck`` holds only its current path.  The bulk records
+render their constant part once per command and fill in their integer
+vectors.  ``verify`` writes each check as it finishes and settles its exit
+code after the last one.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 admissibility violation, 4 internal error (any other exception, reported
 as ``error: internal: ...`` and a traceback), 141 (128 + SIGPIPE) when the
@@ -28,7 +29,7 @@ import traceback
 from fractions import Fraction
 
 from .orbits import merge_orbits, normalize_partition
-from .parking import enumerate_dyck_paths, fuss_catalan, increasing_parking_functions, lattice_to_parking
+from .parking import fuss_catalan, increasing_parking_functions, lattice_to_parking
 from .scalars import parse_scalar
 from .tilting import color_blocks, t_grid, tilting_weights
 from .treecount import build_graph, contract, regular_orbit_count_mobius, spanning_tree_count
@@ -124,7 +125,7 @@ def _cmd_parking(args):
 
 
 def _cmd_dyck(args):
-    paths = enumerate_dyck_paths(args.m, args.n)
+    paths = increasing_parking_functions(args.m - 1, args.n)
     count = yield from _vector_lines(args.format, "dyck", args.m, args.n, None, paths)
     yield _line(args.format, "summary", args.m, args.n, None, {"count": count})
     return 0

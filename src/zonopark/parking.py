@@ -20,6 +20,7 @@ representatives are the (mn+1)^(n-1) residue vectors ending in 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import chain
 
 from .orbits import iter_orbit
@@ -32,23 +33,20 @@ def is_parking_function(values, m: int, n: int) -> bool:
     return len(ascending) == n and all(0 <= v <= m * j for j, v in enumerate(ascending))
 
 
-def increasing_parking_functions(m: int, n: int) -> list[tuple[int, ...]]:
-    """The weakly increasing a with 0 <= a_j <= m(j-1), one per orbit, in lexicographic order."""
-    sequences: list[tuple[int, ...]] = []
-    sequence: list[int] = []
-
-    def extend(j: int):
-        if j == n:
-            sequences.append(tuple(sequence))
+def increasing_parking_functions(m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the weakly increasing a with 0 <= a_j <= m(j-1), one per orbit, lazily in lexicographic order."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    values = [0] * n
+    while True:
+        yield tuple(values)
+        # the rightmost entry below its bound grows, and every entry after it follows
+        j = n - 1
+        while j >= 0 and values[j] >= m * j:
+            j -= 1
+        if j < 0:
             return
-        start = sequence[-1] if sequence else 0
-        for value in range(start, m * j + 1):
-            sequence.append(value)
-            extend(j + 1)
-            sequence.pop()
-
-    extend(0)
-    return sequences
+        values[j:] = [values[j] + 1] * (n - j)
 
 
 def enumerate_parking_functions(m: int, n: int) -> list[tuple[int, ...]]:
@@ -60,13 +58,14 @@ def enumerate_parking_functions(m: int, n: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_dyck_paths(m: int, n: int) -> list[tuple[int, ...]]:
-    """Weakly increasing a with a_j <= (m-1)(j-1), in lexicographic order.
+    """Weakly increasing a with a_j <= (m-1)(j-1), in lexicographic order, as a list.
 
-    They are the weakly increasing (m-1, n)-parking functions.
+    They are the weakly increasing (m-1, n)-parking functions;
+    ``increasing_parking_functions(m - 1, n)`` streams them.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    return increasing_parking_functions(m - 1, n)
+    return list(increasing_parking_functions(m - 1, n))
 
 
 def fuss_catalan(m: int, n: int) -> int:

@@ -58,25 +58,22 @@ def weight_color(xi) -> int:
     return sum(xi)
 
 
-def _weight_sort_key(xi):
-    # color ascending, then lexicographically descending weight
-    return (weight_color(xi), tuple(-c for c in xi))
-
-
 def dominant_weights(m: int, n: int, tau) -> tuple[tuple[int, ...], ...]:
     """Weights xi with xi + staircase a strictly decreasing member point.
 
     The strictly decreasing members are scanned directly, so the cost grows
     with the table size A_n(m, 1), not with the number of weakly
-    decreasing representatives.
+    decreasing representatives.  The scan is in lexicographic order, as are
+    its weights, so the reversed scan sorted stably by color lists colors
+    ascending and each color's weights lexicographically descending.
     """
     spec = ZonotopeSpec(m, n, tau)
     steps = staircase(n)
     weights = [
         tuple(value - step for value, step in zip(point, steps))
-        for point in dominant_points(spec, strict=True)
+        for point in reversed(dominant_points(spec, strict=True))
     ]
-    weights.sort(key=_weight_sort_key)
+    weights.sort(key=weight_color)
     return tuple(weights)
 
 

@@ -158,6 +158,13 @@ TILTING_OUTPUT_SHA256 = {
         "06c3fc9b0042db61ddadf43168fb329e5b9f3c76965bd7f5c20a4f429cb72594",
     ("--m", "3", "--n", "7", "--t", "-1/2"):
         "a8eb77d1bf44686aa68e4e5497675b1d35d3cb7c19d8a6b61d1cf8641afb7f75",
+    # the pins below were taken from the version that sorted the weights by
+    # color and negated weight; m = 1 has a single weight, and the high
+    # window at (3, 6) puts many of its 1,428 weights in each color
+    ("--m", "1", "--n", "5", "--t", "-2/5"):
+        "4de0e6889f105acd7e011120a20d879b75faa3b7b26bcbbdd923724747862807",
+    ("--m", "3", "--n", "6", "--t", "-1/3", "--window", "high", "--format", "tsv"):
+        "b4816d318afe114ad5212dcfddd92f7397ea9d68927966c8ca39b40956635127",
 }
 
 
@@ -192,6 +199,10 @@ STREAM_OUTPUT_SHA256 = {
         "88690747f371590686058d4657e25a6a3a3397515f781e473c470abc185f875b",
     ("parking", "--m", "3", "--n", "4", "--format", "tsv"):
         "6412f8a68fda9995e948e5c14ce0f44cd90da60c43db2d953f4795797aca3212",
+    # taken from the version that listed the increasing parking functions
+    # through a recursive builder
+    ("parking", "--m", "1", "--n", "5"):
+        "b1c9f4243a99c18980f028afcb149e41dc6db05ba1bd0be7e40f38a5dbf7d860",
 }
 
 
@@ -237,6 +248,12 @@ COMMAND_OUTPUT_SHA256 = {
         "a9b5dd72e7fc3225678b40d936fab839be8b49b9653df5cbaceead22971035d3",
     ("dyck", "--m", "2", "--n", "6", "--format", "tsv"):
         "a5313ca6d78de1ccef92d7a0fd2a294c5a124e739882b1eb2463275a846561b0",
+    # taken from the version that built every Dyck path into a list; at
+    # m = 1 the bound m - 1 is 0, so there is one path
+    ("dyck", "--m", "1", "--n", "4"):
+        "4c40af81ce663e11efa18e7bcefd4b209b4cde8685e0e361df8295b064ada6bc",
+    ("dyck", "--m", "3", "--n", "7"):
+        "3551dec6e7a255fbd4f035527e1017df5cc9fa95101f4deb9f7a51e7fcbc8a48",
     ("tilting", "--m", "2", "--n", "6", "--t", "-1/3", "--format", "tsv"):
         "1f150c1ca3c6eb19c2ad569418b42ef26857acb806698032f43ca41e4f4f978e",
     ("verify", "--max-n", "3", "--max-m", "2", "--format", "tsv"):
@@ -269,12 +286,15 @@ def test_command_output_is_pinned(capsys, args):
         ("enumerate", "--m", "2", "--n", "5", "--tau", "4-eps"),
         ("parking", "--m", "2", "--n", "5"),
         ("bijection", "--m", "2", "--n", "5", "--tau", "4-eps"),
+        ("dyck", "--m", "3", "--n", "8"),
     ],
 )
 def test_streaming_commands_hold_only_the_representatives(monkeypatch, args):
-    # 14,641 records each; holding them all as tuples peaks above 1.2 MiB,
-    # while the merged orbit stream holds one generator per representative
-    # (and bijection one relabel table per shift)
+    # 14,641 records for each of the first three; holding them all as tuples
+    # peaks above 1.2 MiB, while the merged orbit stream holds one generator
+    # per representative (and bijection one relabel table per shift).  The
+    # 43,263 Dyck paths of (3, 8) held as a list peak near 4.9 MiB; the
+    # successor scan holds only the current path
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +15,7 @@ from zonopark.parking import (
     enumerate_dyck_paths,
     enumerate_parking_functions,
     fuss_catalan,
+    increasing_parking_functions,
     is_parking_function,
     lattice_to_parking,
     orbit_to_dyck,
@@ -86,6 +88,22 @@ def test_enumerate_parking_functions_examples():
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 3), (3, 3), (2, 4)])
 def test_parking_count(m, n):
     assert len(enumerate_parking_functions(m, n)) == (m * n + 1) ** (n - 1)
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in range(4) for n in range(1, 5)] + [(1, 5), (2, 5)]
+)
+def test_increasing_parking_functions_are_the_sorted_orbits(m, n):
+    want = sorted({tuple(sorted(a)) for a in oracles.parking_functions_brute(m, n)})
+    assert list(increasing_parking_functions(m, n)) == want
+
+
+def test_increasing_parking_functions_are_lazy():
+    # a list builder would not return at n = 60
+    first = list(islice(increasing_parking_functions(3, 60), 3))
+    assert first == [(0,) * 60, (0,) * 59 + (1,), (0,) * 59 + (2,)]
+    with pytest.raises(ValueError):
+        next(increasing_parking_functions(-1, 3))
 
 
 def test_enumerate_dyck_paths_examples():

@@ -85,9 +85,15 @@ def test_golden_tables():
 
 
 def test_output_order_is_color_then_reverse_lex():
-    table = tilting_weights(2, 4, 0)
-    keys = [(weight_color(w), tuple(-c for c in w)) for w in table.weights]
-    assert keys == sorted(keys)
+    # single weights (m = 1), many weights per color (m = 3) and both windows
+    for m in (1, 2, 3):
+        for n in range(1, 7):
+            for t in t_grid(n):
+                for window in WINDOWS:
+                    table = tilting_weights(m, n, t, window)
+                    keys = [(weight_color(w), tuple(-c for c in w)) for w in table.weights]
+                    assert keys == sorted(keys), (m, n, t, window)
+                    assert len(set(keys)) == len(keys) == fuss_catalan(m, n)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
