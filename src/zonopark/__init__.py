@@ -22,7 +22,6 @@ from .zonotope import (
     enumerate_lattice_points,
     has_boundary_lattice_point,
     is_admissible,
-    scan_window,
     support_bounds,
 )
 from .orbits import (

@@ -198,7 +198,10 @@ def parse_scalar(text: str) -> EpsRational:
     match = _EPS_RE.match(text)
     if match is None or (match.group("base") is None and match.group("sign") is None):
         raise ValueError(f"cannot parse scalar {text!r}")
-    base = Fraction(match.group("base")) if match.group("base") else Fraction(0)
+    try:
+        base = Fraction(match.group("base") or 0)
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse scalar {text!r}: zero denominator") from None
     coeff = 0
     if match.group("sign"):
         magnitude = int(match.group("coeff")) if match.group("coeff") else 1

@@ -2,7 +2,9 @@
 
 For a shift parameter t = -p/k the table lists the dominant (weakly
 decreasing) integer weights xi such that xi + staircase is a strictly
-decreasing lattice point of the zonotope.  The table size is always the
+decreasing lattice point of Z(m, n, tau).  Those weights are exactly the
+dominant lattice points of Z(m - 1, n, tau - (n-1)/2), so the table is the
+representative scan one multiplicity down.  The table size is always the
 Fuss-Catalan number, and grouping by color (coordinate sum) splits it into
 exactly n consecutive blocks.
 
@@ -61,18 +63,19 @@ def weight_color(xi) -> int:
 def dominant_weights(m: int, n: int, tau) -> tuple[tuple[int, ...], ...]:
     """Weights xi with xi + staircase a strictly decreasing member point.
 
-    The strictly decreasing members are scanned directly, so the cost grows
-    with the table size A_n(m, 1), not with the number of weakly
-    decreasing representatives.  The scan is in lexicographic order, as are
-    its weights, so the reversed scan sorted stably by color lists colors
+    Subtracting the staircase moves every top-k and bottom-k sum of a
+    strictly decreasing point by exactly the change in the support bounds
+    from Z(m, n, tau) to Z(m - 1, n, tau - (n-1)/2).  So the weights are the
+    dominant points one multiplicity down (m - 1 >= 0), and the scan's cost
+    grows with the table size A_n(m, 1).  The scan is in lexicographic
+    order, so the reversed scan sorted stably by color lists colors
     ascending and each color's weights lexicographically descending.
     """
-    spec = ZonotopeSpec(m, n, tau)
-    steps = staircase(n)
-    weights = [
-        tuple(value - step for value, step in zip(point, steps))
-        for point in reversed(dominant_points(spec, strict=True))
-    ]
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
+    spec = ZonotopeSpec(m - 1, n, tau - Fraction(n - 1, 2))
+    weights = dominant_points(spec)
+    weights.reverse()
     weights.sort(key=weight_color)
     return tuple(weights)
 

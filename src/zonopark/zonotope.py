@@ -8,7 +8,8 @@ half-spaces come in n families: for k = 1..n the sum of any k coordinates is
 pinched between ``tau*k - m*k*(n-k)/2`` and ``tau*k + m*k*(n-k)/2 + k``, and
 for a fixed k the extreme subset sums of a point are its top-k and bottom-k
 sorted sums.  Everything below works in exact arithmetic on those 2n
-constraints; the shift tau may carry an infinitesimal component.
+constraints; the shift tau may carry an infinitesimal component.  Any
+m >= 0 is allowed: m = 0 leaves only the unit cube tau*(1,...,1) + [0,1]^n.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class NotAdmissibleError(ValueError):
 
 @dataclass(frozen=True)
 class ZonotopeSpec:
-    """The triple (m, n, tau) defining the shifted zonotope.
+    """The triple (m, n, tau) defining the shifted zonotope, m >= 0, n >= 1.
 
     Construction also fixes the per-k integer thresholds for membership of
     integer points and the admissibility flag, so that queries never go
@@ -59,8 +60,8 @@ class ZonotopeSpec:
     admissible: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be positive integers")
+        if self.m < 0 or self.n < 1:
+            raise ValueError("m must be a non-negative and n a positive integer")
         object.__setattr__(self, "tau", as_eps_rational(self.tau))
         lo_ceil, lo_tight, up_floor, up_tight = [0], [False], [0], [False]
         for k in range(1, self.n + 1):
@@ -85,7 +86,7 @@ class ZonotopeSpec:
         They are the sorted representatives of the member points.  The scan
         runs on first use and its result lives as long as the spec does.
         """
-        return tuple(_scan_decreasing(self, 0))
+        return tuple(_scan_decreasing(self))
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,9 @@ def is_admissible(m: int, n: int, tau) -> bool:
     """True iff no integer point can lie on the boundary of Z(m, n, tau).
 
     A rational tau is admissible iff tau - m(n-1)/2 has denominator > n in
-    lowest terms; a tau with an infinitesimal component always is.
+    lowest terms; a tau with an infinitesimal component always is.  For
+    m = 0 the test is only sufficient: the unit cube has a boundary lattice
+    point iff tau is an integer.
     """
     tau = as_eps_rational(tau)
     if tau.eps_coeff != 0:
@@ -144,27 +147,18 @@ def contains(spec: ZonotopeSpec, x) -> Location:
     return Location.BOUNDARY if tight else Location.INTERIOR
 
 
-def scan_window(spec: ZonotopeSpec) -> tuple[int, int]:
-    """Integer range [lo, hi] certain to contain every coordinate of a member."""
-    bounds = support_bounds(spec, 1)
-    return math.floor(bounds.lower), math.ceil(bounds.upper)
+def _scan_decreasing(spec: ZonotopeSpec) -> list[tuple[int, ...]]:
+    """The weakly decreasing member tuples (boundary included), lex order.
 
-
-def _scan_decreasing(spec: ZonotopeSpec, gap: int) -> list[tuple[int, ...]]:
-    """Member tuples whose consecutive entries drop by at least ``gap``, lex order.
-
-    ``gap=0`` gives the weakly decreasing members and ``gap=1`` the strictly
-    decreasing ones (boundary included either way).  Membership depends only
-    on the sorted coordinate multiset, so the weak scan yields exactly the
-    sorted representatives of all member points.  The scan fixes one
-    coordinate at a time, pruned by the partial top-sum constraint and by
-    the largest and smallest total the remaining coordinates can still
-    reach under the gap, so a strict scan never descends into a weakly
-    decreasing branch.
+    Membership depends only on the sorted coordinate multiset, so these are
+    exactly the sorted representatives of all member points.  The scan
+    fixes one coordinate at a time, pruned by the partial top-sum
+    constraint and by the largest and smallest total the remaining
+    coordinates can still reach.
     """
     n = spec.n
-    lo1, hi1 = scan_window(spec)
     lo_ceil, up_floor = spec.lo_ceil, spec.up_floor
+    lo1 = lo_ceil[1]
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
@@ -182,36 +176,32 @@ def _scan_decreasing(spec: ZonotopeSpec, gap: int) -> list[tuple[int, ...]]:
                 out.append(tuple(prefix))
             return
         remaining = n - depth - 1
-        # the remaining entries step down from value by at least gap each,
-        # and the smallest of them is still at least lo1
-        tail_drop = gap * remaining * (remaining + 1) // 2
-        tail_floor = remaining * lo1 + gap * remaining * (remaining - 1) // 2
-        for value in range(lo1 + gap * remaining, last + 1 - gap):
+        for value in range(lo1, last + 1):
             total = prefix_sum + value
             # entries are decreasing, so the prefix is the top-k sum
             if total > up_floor[depth + 1]:
                 break
-            if total + remaining * value - tail_drop < lo_ceil[n]:
+            # the remaining entries lie between lo1 and value
+            if total + remaining * value < lo_ceil[n]:
                 continue
-            if total + tail_floor > up_floor[n]:
+            if total + remaining * lo1 > up_floor[n]:
                 break
             prefix.append(value)
             scan(depth + 1, total, value)
             prefix.pop()
 
-    scan(0, 0, hi1 + gap)
+    scan(0, 0, up_floor[1])
     return out
 
 
-def dominant_points(spec: ZonotopeSpec, *, strict: bool = False) -> list[tuple[int, ...]]:
-    """The weakly (or, with ``strict``, strictly) decreasing member points, lex order.
+def dominant_points(spec: ZonotopeSpec) -> list[tuple[int, ...]]:
+    """The weakly decreasing member points (boundary included), lex order.
 
-    The strict scan enumerates the regular dominant points directly, so its
-    cost grows with their number rather than with the number of weakly
-    decreasing representatives; it is not kept on the spec.
+    Defined for every m >= 0.  The strictly decreasing members of
+    Z(m, n, tau), minus the staircase (n-1, ..., 1, 0), are exactly the
+    dominant points of Z(m - 1, n, tau - (n-1)/2), which is how the tilting
+    tables are read off this scan.
     """
-    if strict:
-        return _scan_decreasing(spec, 1)
     return list(spec.representatives)
 
 

@@ -71,6 +71,13 @@ def test_enumerate_bad_tau_exits_2(capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("tau", ["1/0", "0/0", "1/0-eps"])
+def test_enumerate_zero_denominator_tau_exits_2(capsys, tau):
+    code, out, err = run_cli(capsys, "enumerate", "--m", "2", "--n", "2", "--tau", tau)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bijection_pairs(capsys):
     code, out, _ = run_cli(capsys, "bijection", "--m", "2", "--n", "2", "--tau", "1-eps")
     assert code == 0
@@ -147,8 +154,8 @@ def test_tilting_negative_t_value(capsys):
 
 
 # sha256 of the full stdout of each run, taken from the version that
-# filtered the weakly decreasing scan, so the direct strict scan must
-# reproduce every byte
+# filtered the weakly decreasing scan, so every later scan must reproduce
+# every byte
 TILTING_OUTPUT_SHA256 = {
     ("--m", "2", "--n", "8", "--t", "0", "--window", "low"):
         "1b6ea79d062202f588f5bccd53a121dc55f6ab24010c601035c2f896edc4b2e2",
@@ -165,6 +172,16 @@ TILTING_OUTPUT_SHA256 = {
         "4de0e6889f105acd7e011120a20d879b75faa3b7b26bcbbdd923724747862807",
     ("--m", "3", "--n", "6", "--t", "-1/3", "--window", "high", "--format", "tsv"):
         "b4816d318afe114ad5212dcfddd92f7397ea9d68927966c8ca39b40956635127",
+    # the pins below were taken from the version that scanned the strictly
+    # decreasing points of Z(m, n, tau) and subtracted the staircase; they
+    # cover a table whose scan one multiplicity down has m = 0, a 969-weight
+    # table at m = 4, and n = 1, where the staircase is empty
+    ("--m", "1", "--n", "6", "--t", "-1/2", "--window", "high"):
+        "5712ca770cb590777231d2a8281f925c3a77f5deb27440331ad0673053d1f36b",
+    ("--m", "4", "--n", "5", "--t", "-3/5"):
+        "e9cdb7dde4b92d43dd3001c32d0f1632d5b245d11ecd5fa4ab50b9589f424948",
+    ("--m", "2", "--n", "1", "--t", "0"):
+        "7e4b7af38716790769b4edfb7e3f5c0f04cc03e59e385f453f74503a422f242c",
 }
 
 

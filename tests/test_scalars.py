@@ -90,6 +90,12 @@ def test_parse_rejects_garbage(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("bad", ["1/0", "0/0", "1/0-eps", "-3/0+2eps"])
+def test_parse_rejects_zero_denominator(bad):
+    with pytest.raises(ValueError, match="cannot parse scalar"):
+        parse_scalar(bad)
+
+
 def test_coercion():
     assert as_eps_rational(3) == EpsRational(3, 0)
     assert as_eps_rational(Fraction(1, 2)) == EpsRational(Fraction(1, 2), 0)

@@ -77,6 +77,12 @@ def test_tilting_weights_off_grid():
         tilting_weights(2, 3, Fraction(-3, 4))
 
 
+def test_dominant_weights_needs_positive_m():
+    # the scan runs one multiplicity down, where m = 0 is still a zonotope
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        dominant_weights(0, 3, Fraction(1, 2))
+
+
 def test_golden_tables():
     for (m, n, t), expected in GOLDEN_TABLES.items():
         table = tilting_weights(m, n, t)

@@ -1,3 +1,4 @@
+import math
 import weakref
 from fractions import Fraction
 from itertools import permutations
@@ -5,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from zonopark.parking import lattice_to_parking, parking_to_lattice
 from zonopark.scalars import EpsRational, parse_scalar
 from zonopark.treecount import enumerate_partitions
 from zonopark.verify import admissible_taus, inadmissible_taus, sample_taus
@@ -18,7 +20,6 @@ from zonopark.zonotope import (
     enumerate_lattice_points,
     has_boundary_lattice_point,
     is_admissible,
-    scan_window,
     support_bounds,
 )
 
@@ -62,7 +63,7 @@ def test_support_bounds_bad_k():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ZonotopeSpec(0, 2, EpsRational(1))
+        ZonotopeSpec(-1, 2, EpsRational(1))
     with pytest.raises(ValueError):
         ZonotopeSpec(2, 0, EpsRational(1))
 
@@ -87,7 +88,7 @@ def test_contains_matches_hull_oracle_n2():
     for m in (1, 2, 3):
         for tau_text in ["1-eps", "3/2", "5/4", "2+eps", "-1/3", "0"]:
             spec = spec_of(m, 2, tau_text)
-            lo, hi = scan_window(spec)
+            lo, hi = oracles.coordinate_window(m, 2, spec.tau)
             for x in [(a, b) for a in range(lo - 1, hi + 2) for b in range(lo - 1, hi + 2)]:
                 got = contains(spec, x).value
                 want = oracles.hull_location_2d(m, spec.tau, x)
@@ -99,7 +100,7 @@ def test_contains_matches_subset_oracle(m, n):
     taus = sample_taus(m, n, 2) + inadmissible_taus(m, n, 2)
     for tau in taus:
         spec = ZonotopeSpec(m, n, tau)
-        lo, hi = scan_window(spec)
+        lo, hi = oracles.coordinate_window(m, n, tau)
         for rep in dominant_points(spec):
             assert contains(spec, rep).value == oracles.subset_location(m, n, tau, rep)
         # spot-check points outside as well
@@ -142,18 +143,13 @@ def test_enumerate_examples():
     assert count_lattice_points(spec) == 49
 
 
-def test_scan_window_example():
-    # tau = 1-eps, m = n = 2: lower(1) = -eps, upper(1) = 3-eps
-    assert scan_window(spec_of(2, 2, "1-eps")) == (-1, 3)
-
-
 @pytest.mark.parametrize(
     "m,n,tau_text",
     [(1, 2, "7/4"), (2, 2, "1-eps"), (2, 3, "11/6"), (3, 2, "3/2"), (2, 2, "3/2")],
 )
 def test_enumerate_matches_grid_oracle(m, n, tau_text):
     spec = spec_of(m, n, tau_text)
-    expected = oracles.grid_points(m, n, spec.tau, scan_window(spec))
+    expected = oracles.grid_points(m, n, spec.tau, oracles.coordinate_window(m, n, spec.tau))
     got = enumerate_lattice_points(spec)
     assert got == sorted(expected)
     assert got == sorted(set(got))
@@ -201,13 +197,30 @@ def test_representatives_live_and_die_with_their_spec():
 )
 @example(m=3, n=6, offset=Fraction(0), eps=0)
 @example(m=2, n=5, offset=Fraction(2, 5), eps=0)
-def test_strict_dominant_points_are_strictly_decreasing_members(m, n, offset, eps):
+def test_regular_dominant_points_are_dominant_points_one_multiplicity_down(m, n, offset, eps):
     # offsets with denominator <= n and eps = 0 give inadmissible shifts,
-    # whose boundary points both scans must keep
-    spec = ZonotopeSpec(m, n, EpsRational(Fraction(m * (n - 1), 2) + offset, eps))
-    weak = dominant_points(spec)
-    expected = [p for p in weak if all(a > b for a, b in zip(p, p[1:]))]
-    assert dominant_points(spec, strict=True) == expected
+    # whose boundary points both sides must keep
+    tau = EpsRational(Fraction(m * (n - 1), 2) + offset, eps)
+    steps = range(n - 1, -1, -1)
+    regular = [
+        tuple(a - s for a, s in zip(p, steps))
+        for p in dominant_points(ZonotopeSpec(m, n, tau))
+        if all(a > b for a, b in zip(p, p[1:]))
+    ]
+    assert regular == dominant_points(ZonotopeSpec(m - 1, n, tau - Fraction(n - 1, 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_m0_is_the_unit_cube(n):
+    # Z(0, n, tau) = tau*(1,...,1) + [0,1]^n holds one lattice point when
+    # tau is not an integer, and it maps to the zero parking function
+    for tau in sample_taus(0, n):
+        spec = ZonotopeSpec(0, n, tau)
+        point = (math.ceil(tau),) * n
+        assert enumerate_lattice_points(spec) == [point]
+        assert not has_boundary_lattice_point(spec)
+        assert lattice_to_parking(point, spec) == (0,) * n
+        assert parking_to_lattice((0,) * n, spec) == point
 
 
 def test_degenerate_n1():
