@@ -5,13 +5,18 @@ functions: both are fundamental domains of the tiling lattice
 ``(mn+1)Z^n + Z(1,...,1)``, so each class of the quotient holds exactly one
 of each.  The map between them is a single cyclic shift
 ``x -> (x - s*1) mod (mn+1)``, with ``s`` found by Pollak's cyclic argument
-and no lookup table: sort the residues r_0 <= ... <= r_{n-1} of x; the
-shift that makes a parking function is ``s = r_k`` for the first k that
-maximizes ``r_k - m*k``.  A query costs O(n log n).  The inverse lifts a
-shifted parking function into the window of coordinates a member can have
-and keeps the one lift in the zonotope.  A lift's coordinate sum fixes the
-shift modulo mn+1, so only the at most n+1 shifts whose lift sum is a total
-a member can have are tried.
+and no lookup table.  A member's coordinates differ by at most mn, so its
+ascending coordinates a_0 <= ... <= a_{n-1} are lifts of its sorted
+residues, rotated, and the shift that makes a parking function is
+``s = a_k`` for the first k that maximizes ``a_k - m*k``; the image, sorted,
+is the ascending coordinates rotated to start at k.  A query sorts x once,
+and the membership test, the shift and the parking check all read that
+copy.  The inverse lifts a shifted parking function into the window of
+coordinates a member can have and keeps the one lift in the zonotope.
+Sorted, each lift is the sorted parking function rotated at a cut, so its
+coordinate sum is read off the cut.  That sum fixes the shift modulo mn+1,
+so of the at most n+1 shifts whose lift sum is a total a member can have,
+only those whose sum matches, about two, are built and tested.
 The quotient class of a point is canonicalized by subtracting its last
 coordinate from every entry and reducing modulo mn+1, so class
 representatives are the (mn+1)^(n-1) residue vectors ending in 0.
@@ -20,17 +25,28 @@ representatives are the (mn+1)^(n-1) residue vectors ending in 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from itertools import chain
 
 from .orbits import iter_orbit
-from .zonotope import Location, NotAdmissibleError, ZonotopeSpec, contains
+from .zonotope import Location, NotAdmissibleError, ZonotopeSpec, _locate_ascending
 
 
 def is_parking_function(values, m: int, n: int) -> bool:
     """True iff the weakly increasing rearrangement a satisfies a_j <= m(j-1)."""
     ascending = sorted(values)
-    return len(ascending) == n and all(0 <= v <= m * j for j, v in enumerate(ascending))
+    return len(ascending) == n and _parks(ascending, m)
+
+
+def _parks(ascending, m: int) -> bool:
+    """The parking condition on values already in weakly increasing order."""
+    bound = 0
+    for value in ascending:
+        if not 0 <= value <= bound:
+            return False
+        bound += m
+    return True
 
 
 def increasing_parking_functions(m: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -100,16 +116,24 @@ def lattice_to_parking(x, spec: ZonotopeSpec) -> tuple[int, ...]:
     if not spec.is_admissible():
         raise NotAdmissibleError(f"tau = {spec.tau} is not admissible")
     x = tuple(x)
-    if contains(spec, x) is Location.OUTSIDE:
+    ascending = sorted(x)
+    if _locate_ascending(spec, ascending) is Location.OUTSIDE:
         raise ValueError(f"{x} is not a lattice point of the zonotope")
     m, n = spec.m, spec.n
     modulus = m * n + 1
-    residues = sorted(value % modulus for value in x)
-    excess = [r - m * k for k, r in enumerate(residues)]
-    # the cyclic lemma picks the first maximizer, which index() returns
-    shift = residues[excess.index(max(excess))]
-    values = tuple((value - shift) % modulus for value in x)
-    if not is_parking_function(values, m, n):
+    # a member's coordinates differ by at most mn, so the cyclic lemma's first
+    # maximizer of value - m*k is read off the ascending coordinates as well
+    # as off the sorted residues they lift
+    start, top = 0, ascending[0]
+    for k in range(1, n):
+        excess = ascending[k] - m * k
+        if excess > top:
+            start, top = k, excess
+    shift = ascending[start]
+    values = tuple([(value - shift) % modulus for value in x])
+    # the image, sorted, is the ascending coordinates rotated to the shift
+    image = [(value - shift) % modulus for value in ascending[start:] + ascending[:start]]
+    if not _parks(image, m):
         raise RuntimeError(f"the cyclic shift of {x} is not a parking function: {values}")
     return values
 
@@ -117,29 +141,38 @@ def lattice_to_parking(x, spec: ZonotopeSpec) -> tuple[int, ...]:
 def parking_to_lattice(values, spec: ZonotopeSpec) -> tuple[int, ...]:
     """The unique zonotope lattice point in the class of the parking function."""
     values = tuple(values)
-    if not is_parking_function(values, spec.m, spec.n):
-        raise ValueError(f"{values} is not an ({spec.m}, {spec.n})-parking function")
+    ascending = sorted(values)
+    m, n = spec.m, spec.n
+    if len(ascending) != n or not _parks(ascending, m):
+        raise ValueError(f"{values} is not an ({m}, {n})-parking function")
     if not spec.is_admissible():
         raise NotAdmissibleError(f"tau = {spec.tau} is not admissible")
-    n = spec.n
-    modulus = spec.m * n + 1
+    modulus = m * n + 1
     # every coordinate of a member lies in [low, low + mn], where each
     # residue has exactly one lift
     low = spec.lo_ceil[1]
     # the lift shifted by s has coordinate sum == sum(values) - n*s
-    # (mod mn+1), and n is invertible mod mn+1, so each total a member can
-    # have fixes the one shift that could reach it
-    inverse = pow(n, -1, modulus)
+    # (mod mn+1), and -m is the inverse of n mod mn+1, so each total a
+    # member can have fixes the one shift m*(total - sum(values)) that
+    # could reach it
     value_sum = sum(values)
     found = []
     for total in range(spec.lo_ceil[n], spec.up_floor[n] + 1):
-        shift = (value_sum - total) * inverse % modulus
-        lift = tuple(low + (value - shift - low) % modulus for value in values)
-        if sum(lift) == total and contains(spec, lift) is not Location.OUTSIDE:
-            found.append(lift)
+        # with cut = (shift + low) mod (mn+1) the lift maps a value v to
+        # low + v - cut, plus mn+1 when v < cut, so sorted it is the
+        # ascending values rotated to start at the first value >= cut, and
+        # its sum needs no tuple
+        cut = (m * (total - value_sum) + low) % modulus
+        wrap = bisect_left(ascending, cut)
+        if value_sum + n * (low - cut) + wrap * modulus != total:
+            continue
+        lift = [low + (v - cut) % modulus for v in ascending[wrap:] + ascending[:wrap]]
+        if _locate_ascending(spec, lift) is not Location.OUTSIDE:
+            found.append(cut)
     if len(found) != 1:
         raise RuntimeError(f"{len(found)} lattice points in the class of {values}")
-    return found[0]
+    cut = found[0]
+    return tuple([low + (value - cut) % modulus for value in values])
 
 
 def orbit_to_dyck(rep) -> tuple[int, ...]:

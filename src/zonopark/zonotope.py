@@ -116,24 +116,32 @@ def is_admissible(m: int, n: int, tau) -> bool:
 
     A rational tau is admissible iff tau - m(n-1)/2 has denominator > n in
     lowest terms; a tau with an infinitesimal component always is.  For
-    m = 0 the test is only sufficient: the unit cube has a boundary lattice
-    point iff tau is an integer.
+    m = 0 the unit cube has a boundary lattice point iff tau is an integer.
     """
     tau = as_eps_rational(tau)
     if tau.eps_coeff != 0:
         return True
+    if m == 0:
+        return tau.base.denominator != 1
     return (tau.base - Fraction(m * (n - 1), 2)).denominator > n
 
 
 def contains(spec: ZonotopeSpec, x) -> Location:
     """Classify an integer point as interior, boundary or outside."""
-    x = tuple(x)
-    if len(x) != spec.n:
-        raise ValueError(f"expected a point of length {spec.n}, got {len(x)}")
+    return _locate_ascending(spec, sorted(x))
+
+
+def _locate_ascending(spec: ZonotopeSpec, ascending) -> Location:
+    """Classify an integer point given by its coordinates in ascending order.
+
+    The sum of any k coordinates lies between the bottom-k and the top-k sum,
+    so only those two are tested against each k's thresholds.
+    """
+    n = spec.n
+    if len(ascending) != n:
+        raise ValueError(f"expected a point of length {n}, got {len(ascending)}")
     lo_ceil, lo_tight = spec.lo_ceil, spec.lo_tight
     up_floor, up_tight = spec.up_floor, spec.up_tight
-    ascending = sorted(x)
-    n = spec.n
     top = 0
     bottom = 0
     tight = False

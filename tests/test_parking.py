@@ -73,6 +73,32 @@ def test_bijection_errors():
         parking_to_lattice((1, 1), spec)  # not a parking function
 
 
+def test_bijection_error_order():
+    # admissibility is checked before membership, and a length or membership
+    # failure is a plain ValueError
+    inadmissible = spec_of(2, 2, "3/2")
+    for x in [(5, 5), (1, 1, 1)]:
+        with pytest.raises(NotAdmissibleError):
+            lattice_to_parking(x, inadmissible)
+        with pytest.raises(ValueError) as info:
+            lattice_to_parking(x, spec_of(2, 2, "1-eps"))
+        assert type(info.value) is ValueError
+    # the inverse checks its input is a parking function before admissibility
+    for a in [(1, 1), (0, 0, 0), (-1, 0)]:
+        with pytest.raises(ValueError, match="parking function") as info:
+            parking_to_lattice(a, inadmissible)
+        assert type(info.value) is ValueError
+    with pytest.raises(NotAdmissibleError):
+        parking_to_lattice((0, 1), inadmissible)
+
+
+def test_m0_half_integer_shift_maps_its_one_point():
+    spec = ZonotopeSpec(0, 2, Fraction(1, 2))
+    assert spec.is_admissible()
+    assert lattice_to_parking((1, 1), spec) == (0, 0)
+    assert parking_to_lattice((0, 0), spec) == (1, 1)
+
+
 def test_enumerate_parking_functions_examples():
     assert enumerate_parking_functions(2, 2) == [
         (0, 0),
@@ -239,3 +265,34 @@ def test_cyclic_shift_maps_agree_with_class_tables(m, n, window, shape, x_offset
         lattice_to_parking(some_point, threshold)
     with pytest.raises(NotAdmissibleError):
         parking_to_lattice(some_parking, threshold)
+
+
+def _shifted(m, n, offset, eps=0):
+    return EpsRational(Fraction(m * (n - 1), 2) + offset, eps)
+
+
+@pytest.mark.parametrize(
+    "m,n,tau",
+    [
+        # whole-integer translates reach negative and large coordinates
+        (2, 3, _shifted(2, 3, Fraction(1, 8) - 5)),
+        (2, 3, _shifted(2, 3, Fraction(1, 8) + 5)),
+        (3, 3, _shifted(3, 3, -5, -1)),
+        (3, 3, _shifted(3, 3, 5, 1)),
+        (1, 4, _shifted(1, 4, Fraction(9, 10) - 5)),
+        (2, 4, _shifted(2, 4, 5, -1)),
+        # at m = 1 the n+1 totals reach every one of the mn+1 shifts
+        (1, 5, _shifted(1, 5, Fraction(1, 12))),
+        # at m = 0 the zonotope is a unit cube with one point
+        (0, 1, _shifted(0, 1, Fraction(1, 2))),
+        (0, 3, _shifted(0, 3, Fraction(-7, 3))),
+        (0, 4, _shifted(0, 4, 2, -1)),
+    ],
+)
+def test_cyclic_shift_maps_agree_with_class_tables_at_more_shifts(m, n, tau):
+    spec = ZonotopeSpec(m, n, tau)
+    forward, backward = oracles.bijection_tables(m, n, tau)
+    assert len(forward) == len(backward) == (m * n + 1) ** (n - 1)
+    for x, pf in forward.items():
+        assert lattice_to_parking(x, spec) == pf
+        assert parking_to_lattice(pf, spec) == x

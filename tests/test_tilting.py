@@ -1,9 +1,8 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from zonopark.orbits import is_regular
 from zonopark.parking import fuss_catalan
 from zonopark.scalars import EpsRational
 from zonopark.tilting import (
@@ -17,8 +16,9 @@ from zonopark.tilting import (
     tilting_weights,
     weight_color,
 )
-from zonopark.zonotope import ZonotopeSpec, enumerate_lattice_points
+from zonopark.zonotope import ZonotopeSpec
 
+import oracles
 from golden_tables import GOLDEN_TABLES
 
 
@@ -146,19 +146,29 @@ def test_m1_colors_stay_inside_window():
             assert colors <= set(range(u, u + n))
 
 
+def _strictly_decreasing(points):
+    return {p for p in points if all(a > b for a, b in zip(p, p[1:]))}
+
+
 def test_staircase_shift_is_bijection_with_regular_dominant_points():
     for m, n in [(2, 2), (2, 3), (3, 3), (2, 4), (1, 5), (3, 5), (2, 6)]:
         for t, window in product(t_grid(n), WINDOWS):
             table = tilting_weights(m, n, t, window)
             steps = staircase(n)
             lifted = {tuple(w + s for w, s in zip(xi, steps)) for xi in table.weights}
-            spec = ZonotopeSpec(m, n, table.tau)
-            regular_dominant = {
-                p
-                for p in enumerate_lattice_points(spec)
-                if is_regular(p) and tuple(sorted(p, reverse=True)) == p
-            }
+            # the regular dominant points of Z(m, n, tau) are its strictly
+            # decreasing members
+            regular_dominant = _strictly_decreasing(ZonotopeSpec(m, n, table.tau).representatives)
             assert lifted == regular_dominant
+            if n <= 4 or (m, n) == (1, 5):
+                # where the window is small, also the strictly decreasing
+                # tuples of it that meet every subset-sum constraint
+                lo, hi = oracles.coordinate_window(m, n, table.tau)
+                assert lifted == {
+                    p
+                    for p in combinations(range(hi, lo - 1, -1), n)
+                    if oracles.subset_location(m, n, table.tau, p) != "outside"
+                }
             # every listed weight is dominant (weakly decreasing)
             for xi in table.weights:
                 assert all(a >= b for a, b in zip(xi, xi[1:]))

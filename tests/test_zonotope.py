@@ -122,6 +122,20 @@ def test_is_admissible_examples():
     assert is_admissible(2, 2, EpsRational(1, -1))
 
 
+def test_m0_is_admissible_iff_tau_is_not_an_integer():
+    # the unit cube tau*(1,...,1) + [0,1]^n puts a lattice point on its
+    # boundary exactly when tau is an integer
+    rationals = {Fraction(p, q) for q in range(1, 7) for p in range(-8, 9)}
+    taus = [EpsRational(r) for r in rationals]
+    taus += [EpsRational(k, e) for k in range(-2, 3) for e in (-1, 1)]
+    for n in range(1, 5):
+        for tau in taus:
+            spec = ZonotopeSpec(0, n, tau)
+            want = tau.eps_coeff != 0 or tau.base.denominator != 1
+            assert spec.admissible == is_admissible(0, n, tau) == want
+            assert has_boundary_lattice_point(spec) == (not want)
+
+
 def test_admissibility_boundary_dichotomy_small():
     for m in (1, 2):
         for n in (1, 2, 3):
