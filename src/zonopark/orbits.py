@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from collections.abc import Iterator
@@ -80,9 +79,62 @@ def orbit_of(x) -> list[tuple[int, ...]]:
 def merge_orbits(reps) -> Iterator[tuple[int, ...]]:
     """The union of the orbits of reps (one per orbit), lazily in lexicographic order.
 
-    It holds one ``iter_orbit`` generator per representative, never the points.
+    A prefix walk.  The points that start with a given prefix are the
+    orbits of what the representatives have left once the prefix's values
+    are taken out of them.  So from each prefix the walk steps, in
+    ascending order, to each value those remaining multisets hold, keeping
+    the multisets that hold it, less one copy of it.  With two coordinates
+    left, a multiset {a, b} ends its points in (a, b) and (b, a), and the
+    sorted pairs finish the prefix.  The representatives may come in any
+    order and with their coordinates in any order, but all of one length.
+
+    It holds, on each of at most n - 2 levels, one list of remaining
+    multisets, at most one per representative, so its memory is
+    O(n * #representatives).  It never holds the points.
     """
-    return heapq.merge(*map(iter_orbit, reps))
+    multisets = [tuple(sorted(rep)) for rep in reps]
+    if not multisets:
+        return
+    n = len(multisets[0])
+    if any(len(multiset) != n for multiset in multisets):
+        raise ValueError("representatives must all have the same length")
+    # each level is a prefix and its branches still to walk
+    levels: list[tuple[tuple[int, ...], Iterator]] = []
+    prefix: tuple[int, ...] = ()
+    while True:
+        if n - len(prefix) > 2:
+            levels.append((prefix, _branches(multisets)))
+        else:
+            yield from map(prefix.__add__, _tails(multisets))
+        # the next prefix is the next branch of the deepest level that has one
+        while levels:
+            head, branches = levels[-1]
+            step = next(branches, None)
+            if step is not None:
+                break
+            levels.pop()
+        else:
+            return
+        value, multisets = step
+        prefix = (*head, value)
+
+
+def _branches(multisets) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """Each value the sorted multisets hold, ascending, with those that hold it, less it."""
+    for value in sorted({v for multiset in multisets for v in multiset}):
+        yield value, [
+            multiset[:i] + multiset[i + 1 :]
+            for multiset in multisets
+            if value in multiset
+            for i in (multiset.index(value),)
+        ]
+
+
+def _tails(multisets) -> list[tuple[int, ...]]:
+    """The orbits of sorted multisets of at most two coordinates, merged in lexicographic order."""
+    tails = multisets + [turned for multiset in multisets if (turned := multiset[::-1]) != multiset]
+    tails.sort()
+    return tails
 
 
 def regular_orbit_reps(points) -> list[tuple[int, ...]]:

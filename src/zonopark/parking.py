@@ -27,9 +27,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import chain
 
-from .orbits import iter_orbit
+from .orbits import merge_orbits
 from .zonotope import Location, NotAdmissibleError, ZonotopeSpec, _locate_ascending
 
 
@@ -68,9 +67,9 @@ def increasing_parking_functions(m: int, n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_parking_functions(m: int, n: int) -> list[tuple[int, ...]]:
     """All (m, n)-parking functions in lexicographic order.
 
-    The sorted orbits of the weakly increasing ones; ``merge_orbits`` streams them.
+    ``merge_orbits(increasing_parking_functions(m, n))`` streams the same functions.
     """
-    return sorted(chain.from_iterable(map(iter_orbit, increasing_parking_functions(m, n))))
+    return list(merge_orbits(increasing_parking_functions(m, n)))
 
 
 def enumerate_dyck_paths(m: int, n: int) -> list[tuple[int, ...]]:

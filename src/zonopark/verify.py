@@ -5,6 +5,12 @@ bijection, regular-orbit routes, tree counts, weight tables) is one public
 function.  It takes its inputs explicitly and returns ``""`` when the identity
 holds, else a detail naming the values it compared.  ``run_checks`` calls them
 in one fixed order over a bounded (m, n) grid, the acceptance tests over theirs.
+
+The point-wise checks accept any iterable of points or parking functions.
+``run_checks`` hands each of them a fresh lexicographic stream,
+``merge_orbits`` of the representatives or of the weakly increasing parking
+functions, so for each (m, n) it holds the representatives and one class
+bitmap of (mn+1)^(n-1) bytes, never the points.
 """
 
 from __future__ import annotations
@@ -12,17 +18,18 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, zip_longest
+from operator import add, gt, lt, mul
 
-from .orbits import regular_orbit_reps, stabilizer_partition
+from .orbits import merge_orbits, orbit_size, stabilizer_partition
 from .parking import (
     canonical_class,
     enumerate_dyck_paths,
-    enumerate_parking_functions,
     fuss_catalan,
+    increasing_parking_functions,
     lattice_to_parking,
     orbit_to_dyck,
     parking_to_lattice,
@@ -54,7 +61,6 @@ from .zonotope import (
     ZonotopeSpec,
     count_invariant_points,
     count_lattice_points,
-    enumerate_lattice_points,
     has_boundary_lattice_point,
     support_bounds,
 )
@@ -110,7 +116,7 @@ def _differ(got, want) -> str:
 
 
 def _strictly_decreasing(p: Point) -> bool:
-    return all(a > b for a, b in zip(p, p[1:]))
+    return all(map(gt, p, p[1:]))
 
 
 def _unequal(got, want, what: str) -> str:
@@ -182,12 +188,22 @@ def support_width(spec: ZonotopeSpec) -> str:
 
 
 def lattice_count_tiling_index(specs: list[ZonotopeSpec]) -> str:
-    """Each spec is admissible, with (mn+1)^(n-1) points and none on the boundary."""
+    """Each spec is admissible, with (mn+1)^(n-1) points and none on the boundary.
+
+    Its points fall into A_n(m+1, 1) orbits: the bijection is S_n-equivariant,
+    so the orbits match the weakly increasing (m, n)-parking functions.
+    """
     for spec in specs:
-        got = (spec.is_admissible(), count_lattice_points(spec), has_boundary_lattice_point(spec))
-        want = (True, (spec.m * spec.n + 1) ** (spec.n - 1), False)
+        m, n = spec.m, spec.n
+        got = (
+            spec.is_admissible(),
+            count_lattice_points(spec),
+            has_boundary_lattice_point(spec),
+            len(spec.representatives),
+        )
+        want = (True, (m * n + 1) ** (n - 1), False, fuss_catalan(m + 1, n))
         if got != want:
-            return f"admissible, points, boundary point at tau={spec.tau}: {got} != {want}"
+            return f"admissible, points, boundary point, orbits at tau={spec.tau}: {got} != {want}"
     return ""
 
 
@@ -200,35 +216,57 @@ def inadmissible_has_boundary_point(specs: list[ZonotopeSpec]) -> str:
     return ""
 
 
-def sn_invariance(points: list[Point]) -> str:
-    """The points are closed under coordinate permutations."""
-    try:
-        regular_orbit_reps(points)  # raises when not permutation-closed
-    except ValueError as exc:
-        return str(exc)
+def sn_invariance(points: Iterable[Point]) -> str:
+    """The points, strictly increasing in lex order, are closed under coordinate permutations."""
+    counts: Counter[Point] = Counter()
+    previous = None
+    for p in points:
+        if previous is not None and p <= previous:
+            return f"{p} follows {previous}: not strictly increasing"
+        previous = p
+        counts[tuple(sorted(p))] += 1
+    for multiset, count in counts.items():
+        if count != orbit_size(multiset):
+            return f"{count} of the {orbit_size(multiset)} permutations of {multiset}"
     return ""
 
 
-def translation_law(spec: ZonotopeSpec, points: list[Point]) -> str:
-    """The points at tau + 1 are the points at tau shifted by (1, ..., 1)."""
-    shifted = enumerate_lattice_points(ZonotopeSpec(spec.m, spec.n, spec.tau + 1))
-    return _differ(shifted, sorted(tuple(c + 1 for c in p) for p in points))
+def translation_law(spec: ZonotopeSpec, points: Iterable[Point]) -> str:
+    """The points at tau + 1, in lex order, are the points at tau shifted by (1, ..., 1)."""
+    shifted = merge_orbits(ZonotopeSpec(spec.m, spec.n, spec.tau + 1).representatives)
+    ones = (1,) * spec.n
+    for index, (got, p) in enumerate(zip_longest(shifted, points)):
+        want = None if p is None else tuple(map(add, p, ones))
+        if got != want:
+            return f"point {index} at tau={spec.tau + 1}: {got} != {want}"
+    return ""
 
 
 # -- parking layer -----------------------------------------------------------
 
 
-def class_bijection(m: int, n: int, points: list[Point], functions: list[Point]) -> str:
+def class_bijection(m: int, n: int, points: Iterable[Point], functions: Iterable[Point]) -> str:
     """Points and parking functions each meet every class mod (mn+1)Z^n + Z(1,...,1) once."""
-    point_classes = {canonical_class(x, m, n) for x in points}
-    parking_classes = {canonical_class(a, m, n) for a in functions}
-    sizes = (len(points), len(point_classes), len(functions), len(parking_classes))
-    if len(set(sizes)) != 1 or sizes[0] != (m * n + 1) ** (n - 1):
-        return f"points, classes, parking functions, classes: {sizes}, not (mn+1)^(n-1)"
-    return _differ(point_classes, parking_classes)
+    modulus = m * n + 1
+    classes = modulus ** (n - 1)
+    # a canonical class ends in 0, so its other residues, read in base
+    # mn+1, index one byte; bit 1 marks a point, bit 2 a parking function
+    marks = bytearray(classes)
+    digits = [modulus ** (n - 2 - i) for i in range(n - 1)] + [0]
+    for what, bit, elements in (("points", 1, points), ("parking functions", 2, functions)):
+        count = 0
+        for x in elements:
+            index = sum(map(mul, canonical_class(x, m, n), digits))
+            if marks[index] & bit:
+                return f"{what}: class of {x} met twice"
+            marks[index] |= bit
+            count += 1
+        if count != classes:
+            return f"{what}: {count} classes, not (mn+1)^(n-1) = {classes}"
+    return ""
 
 
-def round_trip(spec: ZonotopeSpec, points: list[Point], functions: list[Point]) -> str:
+def round_trip(spec: ZonotopeSpec, points: Iterable[Point], functions: Iterable[Point]) -> str:
     """lattice_to_parking and parking_to_lattice invert each other on both sets."""
     for start, there, back in (
         (points, lattice_to_parking, parking_to_lattice),
@@ -241,11 +279,21 @@ def round_trip(spec: ZonotopeSpec, points: list[Point], functions: list[Point]) 
     return ""
 
 
-def equivariance(spec: ZonotopeSpec, points: list[Point], rng: random.Random, samples: int) -> str:
-    """lattice_to_parking commutes with random permutations of random points."""
-    for _ in range(samples):
-        perm = rng.sample(range(spec.n), spec.n)
-        x = points[rng.randrange(len(points))]
+def equivariance(spec: ZonotopeSpec, points: Iterable[Point], rng: random.Random, samples: int) -> str:
+    """lattice_to_parking commutes with random permutations of random points.
+
+    The (permutation, index) pairs are drawn first, then the indexed points
+    are picked in one pass, so a stream gives the samples a list would.
+    """
+    size = count_lattice_points(spec)
+    draws = [(rng.sample(range(spec.n), spec.n), rng.randrange(size)) for _ in range(samples)]
+    wanted = {index for _, index in draws}
+    last = max(wanted, default=-1)
+    picked = {index: x for index, x in enumerate(islice(points, last + 1)) if index in wanted}
+    for perm, index in draws:
+        if index not in picked:
+            return f"no point at index {index} of {size}"
+        x = picked[index]
         left = lattice_to_parking(tuple(x[p] for p in perm), spec)
         image = lattice_to_parking(x, spec)
         right = tuple(image[p] for p in perm)
@@ -254,7 +302,7 @@ def equivariance(spec: ZonotopeSpec, points: list[Point], rng: random.Random, sa
     return ""
 
 
-def regular_orbit_routes(m: int, n: int, points: list[Point], dyck: list[Point]) -> str:
+def regular_orbit_routes(m: int, n: int, points: Iterable[Point], dyck: list[Point]) -> str:
     """Regular orbits, Dyck paths, Mobius inversion and Fuss-Catalan give one count."""
     # on permutation-closed points each regular orbit has one strictly decreasing member
     orbits, mobius = sum(map(_strictly_decreasing, points)), regular_orbit_count_mobius(m, n)
@@ -262,9 +310,9 @@ def regular_orbit_routes(m: int, n: int, points: list[Point], dyck: list[Point])
     return "" if len(set(routes.values())) == 1 else str(routes)
 
 
-def orbit_to_dyck_bijection(functions: list[Point], dyck: list[Point]) -> str:
+def orbit_to_dyck_bijection(functions: Iterable[Point], dyck: list[Point]) -> str:
     """orbit_to_dyck maps the strictly increasing parking functions onto the Dyck paths."""
-    increasing = [a for a in functions if all(x < y for x, y in zip(a, a[1:]))]
+    increasing = [a for a in functions if all(map(lt, a, a[1:]))]
     images = {orbit_to_dyck(a) for a in increasing}
     if len(images) != len(increasing):
         return f"{len(increasing)} increasing parking functions, {len(images)} images"
@@ -318,9 +366,14 @@ def _shared_pairs(blocks: Partition) -> int:
     return sum(1 << (i * n + j) for block in blocks for i, j in combinations(block, 2))
 
 
-def stabilizer_refinement_identity(points: list[Point], trees: dict[Partition, int]) -> str:
+def stabilizer_refinement_identity(points: Iterable[Point], trees: dict[Partition, int]) -> str:
     """Contracted trees = block-size product * points whose stabilizer is coarser."""
-    histogram = Counter(stabilizer_partition(p) for p in points)
+    # equal coordinates share the position of their first copy, so these
+    # patterns have the stabilizers of the points they come from
+    patterns = Counter(tuple(map(p.index, p)) for p in points)
+    histogram: Counter[Partition] = Counter()
+    for pattern, count in patterns.items():
+        histogram[stabilizer_partition(pattern)] += count
     # a partition refines a stabilizer iff the stabilizer keeps together
     # every pair of positions the partition keeps together
     shared = [(_shared_pairs(s), c) for s, c in histogram.items()]
@@ -388,10 +441,12 @@ def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> Iter
     yield from run({"max_n": COMPOSITION_MAX_N}, [(composition_identity,)])
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
-            # inputs shared by several checks of this (m, n), made once
+            # inputs shared by several checks of this (m, n), made once; each
+            # point-wise check gets its own lazy stream of the points or the
+            # parking functions
             specs = [ZonotopeSpec(m, n, tau) for tau in sample_taus(m, n)]
-            spec, points = specs[0], enumerate_lattice_points(specs[0])
-            functions, dyck = enumerate_parking_functions(m, n), enumerate_dyck_paths(m, n)
+            spec, reps = specs[0], specs[0].representatives
+            increasing, dyck = tuple(increasing_parking_functions(m, n)), enumerate_dyck_paths(m, n)
             graph = build_graph(m, n)
             trees = contracted_tree_counts(graph)
             tables = [tilting_weights(m, n, t) for t in t_grid(n)]
@@ -404,19 +459,19 @@ def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> Iter
                     (support_width, spec),
                     (lattice_count_tiling_index, specs),
                     (inadmissible_has_boundary_point, inadmissible),
-                    (sn_invariance, points),
-                    (translation_law, spec, points),
-                    (class_bijection, m, n, points, functions),
-                    (round_trip, spec, points, functions),
-                    (equivariance, spec, points, rng, 20),
-                    (regular_orbit_routes, m, n, points, dyck),
-                    (orbit_to_dyck_bijection, functions, dyck),
+                    (sn_invariance, merge_orbits(reps)),
+                    (translation_law, spec, merge_orbits(reps)),
+                    (class_bijection, m, n, merge_orbits(reps), merge_orbits(increasing)),
+                    (round_trip, spec, merge_orbits(reps), merge_orbits(increasing)),
+                    (equivariance, spec, merge_orbits(reps), rng, 20),
+                    (regular_orbit_routes, m, n, merge_orbits(reps), dyck),
+                    (orbit_to_dyck_bijection, merge_orbits(increasing), dyck),
                     (tree_count_closed_form, m, n, graph),
                     (contracted_closed_form, m, n, trees),
                     (tree_count_equals_lattice_count, spec, graph),
                     *([(volume_by_bases_agrees, m, n, graph)] if bases else []),
                     (invariant_point_identity, spec, trees),
-                    (stabilizer_refinement_identity, points, trees),
+                    (stabilizer_refinement_identity, merge_orbits(reps), trees),
                     (table_size, tables),
                     (color_window, tables),
                     (weight_translation, tables),

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import groupby
 
-from .orbits import iter_orbit, normalize_partition, orbit_size
+from .orbits import merge_orbits, normalize_partition, orbit_size
 from .scalars import EpsRational, as_eps_rational
 
 
@@ -87,6 +87,15 @@ class ZonotopeSpec:
         runs on first use and its result lives as long as the spec does.
         """
         return tuple(_scan_decreasing(self))
+
+    @cached_property
+    def _multiplicity_types(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each sorted tuple of value multiplicities, with how many representatives have it."""
+        types: Counter[tuple[int, ...]] = Counter()
+        for rep in self.representatives:
+            # equal values of a decreasing tuple are adjacent
+            types[tuple(sorted(len(list(run)) for _, run in groupby(rep)))] += 1
+        return tuple(types.items())
 
 
 @dataclass(frozen=True)
@@ -216,9 +225,9 @@ def dominant_points(spec: ZonotopeSpec) -> list[tuple[int, ...]]:
 def enumerate_lattice_points(spec: ZonotopeSpec) -> list[tuple[int, ...]]:
     """All integer points of the zonotope (boundary included), lex order.
 
-    The sorted orbits of the representatives; ``merge_orbits`` streams them.
+    ``merge_orbits(spec.representatives)`` streams the same points.
     """
-    return sorted(chain.from_iterable(map(iter_orbit, spec.representatives)))
+    return list(merge_orbits(spec.representatives))
 
 
 def count_lattice_points(spec: ZonotopeSpec) -> int:
@@ -242,14 +251,11 @@ def count_invariant_points(spec: ZonotopeSpec, partition) -> int:
     of the representative's distinct values such that the block sizes given
     each value add up to that value's multiplicity.  That number depends
     only on the representative's multiplicities, so representatives are
-    tallied by their sorted multiplicities and each type is counted once.
+    tallied by their sorted multiplicities, once per spec, and each type is
+    counted once.
     """
     blocks = normalize_partition(partition, spec.n)
     sizes = sorted((len(b) for b in blocks), reverse=True)
-    types: Counter[tuple[int, ...]] = Counter()
-    for rep in spec.representatives:
-        # equal values of a decreasing tuple are adjacent
-        types[tuple(sorted(len(list(run)) for _, run in groupby(rep)))] += 1
 
     ways_memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
@@ -267,4 +273,4 @@ def count_invariant_points(spec: ZonotopeSpec, partition) -> int:
             ways_memo[key] = total
         return ways_memo[key]
 
-    return sum(tally * ways(0, multiplicities) for multiplicities, tally in types.items())
+    return sum(tally * ways(0, multiplicities) for multiplicities, tally in spec._multiplicity_types)

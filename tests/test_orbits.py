@@ -56,14 +56,66 @@ def test_iter_orbit_is_lazy():
     assert next(orbit) == (*range(1, 11), 12, 11)
 
 
+def _union_of_permutations(reps):
+    """The oracle: every distinct permutation of every representative, sorted."""
+    return sorted({p for rep in reps for p in itertools.permutations(rep)})
+
+
 def test_merge_orbits_is_the_sorted_union_of_the_orbits():
     rng = random.Random(11)
-    for _ in range(20):
+    for _ in range(300):
         n = rng.randint(1, 5)
-        reps = {tuple(sorted(rng.choices(range(-2, 3), k=n))) for _ in range(rng.randint(1, 8))}
-        merged = merge_orbits(sorted(reps, reverse=True))
+        multisets = {tuple(sorted(rng.choices(range(-2, 3), k=n))) for _ in range(rng.randint(1, 8))}
+        # the representatives in any order, each with its coordinates in any order
+        reps = [tuple(rng.sample(rep, n)) for rep in multisets]
+        rng.shuffle(reps)
+        merged = merge_orbits(reps)
         assert not isinstance(merged, list)
-        assert list(merged) == sorted(p for rep in reps for p in orbit_of(rep))
+        assert list(merged) == _union_of_permutations(reps)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple))
+    )
+)
+def test_merge_orbits_matches_the_permutation_oracle(reps):
+    # one representative per orbit, as merge_orbits requires
+    reps = list({tuple(sorted(rep)): rep for rep in reps}.values())
+    assert list(merge_orbits(reps)) == _union_of_permutations(reps)
+
+
+@pytest.mark.parametrize(
+    "reps",
+    [
+        [],
+        [(4,)],
+        [(2,), (-1,), (0,)],
+        [(1, 1)],
+        [(0, 3), (2, 2), (1, -1)],
+        [(1, 1, 1)],
+        [(0, 2, 0), (1, 1, 2), (2, 1, 0)],
+        [(3, 3, 1, 1)],
+    ],
+)
+def test_merge_orbits_small_cases(reps):
+    assert list(merge_orbits(iter(reps))) == _union_of_permutations(reps)
+
+
+def test_merge_orbits_of_an_m0_spec():
+    # m = 0 leaves the unit cube tau*(1,...,1) + [0, 1]^n: 2^n points at an
+    # integer tau, one point otherwise
+    for n in (1, 2, 3, 4):
+        for tau, points in (("1/2", 1), ("2-eps", 1), ("1", 2**n), ("-3", 2**n)):
+            reps = ZonotopeSpec(0, n, parse_scalar(tau)).representatives
+            merged = list(merge_orbits(reps))
+            assert merged == _union_of_permutations(reps)
+            assert len(merged) == points
+
+
+def test_merge_orbits_requires_one_length():
+    with pytest.raises(ValueError):
+        list(merge_orbits([(1, 2), (1, 2, 3)]))
 
 
 def test_regular_orbit_reps_examples():

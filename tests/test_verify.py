@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from zonopark import verify
+import zonopark
+from zonopark import parking, verify, zonotope
 from zonopark.parking import enumerate_dyck_paths, enumerate_parking_functions
 from zonopark.scalars import EpsRational
 from zonopark.tilting import t_grid, tilting_weights
@@ -245,11 +246,12 @@ def test_every_invariant_has_a_corrupted_input():
 
 
 def test_run_checks_yields_each_result_as_it_is_made(monkeypatch):
-    # the scalar and composition results come before any (m, n) input is built
+    # the scalar and composition results come before any (m, n) input is
+    # built; the first such input is the representatives the streams start from
     def unreachable(spec):
         raise RuntimeError("lattice points built before the first results")
 
-    monkeypatch.setattr(verify, "enumerate_lattice_points", unreachable)
+    monkeypatch.setattr(ZonotopeSpec, "representatives", property(unreachable))
     results = verify.run_checks(max_m=1, max_n=1)
     first = [next(results).name for _ in range(4)]
     assert first == [
@@ -262,6 +264,76 @@ def test_run_checks_yields_each_result_as_it_is_made(monkeypatch):
         next(results)
 
 
+# -- streamed inputs -----------------------------------------------------------
+
+
+def test_run_checks_never_builds_the_point_or_parking_lists(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("a list of every point or parking function was built")
+
+    for module in (verify, zonotope, parking, zonopark):
+        for name in ("enumerate_lattice_points", "enumerate_parking_functions"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    results = list(verify.run_checks(max_m=2, max_n=4))
+    assert results[-1].params == {"m": 2, "n": 4}
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+def _stream(points):
+    return (p for p in points)
+
+
+def test_sn_invariance_reports_a_repeated_point(case):
+    points = list(case.points)
+    points.insert(5, points[5])
+    assert "not strictly increasing" in verify.sn_invariance(_stream(points))
+
+
+def test_sn_invariance_reports_a_stream_out_of_lex_order(case):
+    points = list(case.points)
+    points[3], points[4] = points[4], points[3]
+    assert "not strictly increasing" in verify.sn_invariance(_stream(points))
+
+
+def test_translation_law_reports_a_stream_without_its_last_point(case):
+    detail = verify.translation_law(case.spec, _stream(case.points[:-1]))
+    assert detail == (
+        f"point {len(case.points) - 1} at tau={case.spec.tau + 1}: "
+        f"{tuple(c + 1 for c in case.points[-1])} != None"
+    )
+
+
+def test_class_bijection_reports_a_class_met_twice(case):
+    points = [*case.points[:7], case.points[6], *case.points[8:]]
+    detail = verify.class_bijection(M, N, _stream(points), _stream(case.functions))
+    assert detail == f"points: class of {case.points[6]} met twice"
+
+
+def test_equivariance_reads_a_stream_as_it_reads_a_list(case, monkeypatch):
+    image = verify.lattice_to_parking
+    monkeypatch.setattr(
+        verify, "lattice_to_parking", lambda x, spec: tuple(sorted(image(x, spec)))
+    )
+    answers = []
+    for points in (case.points, _stream(case.points)):
+        rng = random.Random(5)
+        answers.append((verify.equivariance(case.spec, points, rng, 20), rng.getstate()))
+    assert answers[0][0] and answers[0] == answers[1]
+
+
+def test_lattice_count_tiling_index_reports_a_missing_orbit(case, monkeypatch):
+    # the point count is kept true, so only the orbit count can tell
+    points = (M * N + 1) ** (N - 1)
+    spec = ZonotopeSpec(M, N, case.spec.tau)
+    reps = spec.representatives
+    spec.__dict__["representatives"] = reps[:2] + reps[3:]
+    monkeypatch.setattr(verify, "count_lattice_points", lambda spec: points)
+    detail = verify.lattice_count_tiling_index([spec])
+    assert detail.endswith(
+        f"{(True, points, False, len(reps) - 1)} != {(True, points, False, len(reps))}"
+    )
+
+
 # -- the size guard and the full partition sweep at n = 7 ----------------------
 
 
@@ -269,13 +341,13 @@ def test_run_checks_skips_volume_by_bases_above_its_size_limit(monkeypatch):
     # verify --max-n 7 --max-m 1 used to reach volume_by_bases(1, 7), which
     # refuses that size.  Only the finest partition is kept, and every check
     # outside the tree layer answers at once, so the grid up to n = 7 is
-    # reached without the Bell(7) partition sweep or the parking checks.
+    # reached without the Bell(7) partition sweep, and the point and parking
+    # streams those checks would read are never walked.
     with pytest.raises(ValueError):
         verify.volume_by_bases(1, 7)
     monkeypatch.setattr(
         verify, "enumerate_partitions", lambda size: (tuple((i,) for i in range(1, size + 1)),)
     )
-    monkeypatch.setattr(verify, "enumerate_parking_functions", lambda m, n: [])
     for name in set(CORRUPTIONS) - TREE_CHECKS:
         answer = functools.wraps(getattr(verify, name))(lambda *inputs: "")
         monkeypatch.setattr(verify, name, answer)
