@@ -67,6 +67,7 @@ from .tilting import (
     WeightTable,
     color_blocks,
     color_window_start,
+    dominant_weight_blocks,
     dominant_weights,
     staircase,
     t_grid,

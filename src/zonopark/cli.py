@@ -9,10 +9,11 @@ Every command writes each record as it is made, so an error can end the
 output after some records.  ``enumerate``, ``bijection`` and ``parking``
 hold only the orbit representatives, never the points; ``bijection`` maps
 each orbit once, on its representative, and relabels the coordinates of
-its points.  ``dyck`` holds only its current path.  The bulk records
-render their constant part once per command and fill in their integer
-vectors.  ``verify`` writes each check as it finishes and settles its exit
-code after the last one.
+its points.  ``dyck`` holds only its current path, and ``tilting`` one
+color block of its table at a time, each scanned just before it is
+written.  The bulk records render their constant part once per command
+and fill in their integer vectors.  ``verify`` writes each check as it
+finishes and settles its exit code after the last one.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 admissibility violation, 4 internal error (any other exception, reported
 as ``error: internal: ...`` and a traceback), 141 (128 + SIGPIPE) when the
@@ -31,7 +32,7 @@ from fractions import Fraction
 from .orbits import merge_orbits, normalize_partition
 from .parking import fuss_catalan, increasing_parking_functions, lattice_to_parking
 from .scalars import parse_scalar
-from .tilting import color_blocks, t_grid, tilting_weights
+from .tilting import dominant_weight_blocks, t_grid, tau_for_t
 from .treecount import build_graph, contract, regular_orbit_count_mobius, spanning_tree_count
 from .verify import DEFAULT_SEED, run_checks
 from .zonotope import NotAdmissibleError, ZonotopeSpec
@@ -158,15 +159,15 @@ def _cmd_tilting(args):
         raise UsageError(f"bad t value {args.t!r}: {exc}") from None
     if t not in t_grid(args.n):
         raise UsageError(f"t = {t} is not on the grid for n = {args.n}")
-    table = tilting_weights(args.m, args.n, t, window=args.window)
-    tau_text = str(table.tau)
+    tau = tau_for_t(args.m, args.n, t, window=args.window)
+    tau_text = str(tau)
     histogram = {}
-    for block in color_blocks(table):
+    for block in dominant_weight_blocks(args.m, args.n, tau):
         histogram[str(block.color)] = len(block.weights)
         yield from _vector_lines(
             args.format, "weight", args.m, args.n, tau_text, block.weights, color=block.color
         )
-    summary = {"t": str(t), "count": len(table.weights), "colors": histogram}
+    summary = {"t": str(t), "count": sum(histogram.values()), "colors": histogram}
     yield _line(args.format, "summary", args.m, args.n, tau_text, summary)
     return 0
 

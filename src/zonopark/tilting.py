@@ -6,7 +6,10 @@ decreasing lattice point of Z(m, n, tau).  Those weights are exactly the
 dominant lattice points of Z(m - 1, n, tau - (n-1)/2), so the table is the
 representative scan one multiplicity down.  The table size is always the
 Fuss-Catalan number, and grouping by color (coordinate sum) splits it into
-exactly n consecutive blocks.
+exactly n consecutive blocks.  The scan runs one color at a time, with the
+color as its fixed total, so ``dominant_weight_blocks`` (and with it the
+``tilting`` command) holds one block at a time; ``dominant_weights`` and
+``tilting_weights`` return the blocks concatenated.
 
 Shift convention: the frozen window places tau just below t + m(n-1)/2,
 i.e. tau = t + m(n-1)/2 - eps.  An alternative "high" window with
@@ -17,8 +20,10 @@ valid table of the same size from a different admissibility window.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .scalars import EpsRational
 from .zonotope import ZonotopeSpec, dominant_points
@@ -60,24 +65,39 @@ def weight_color(xi) -> int:
     return sum(xi)
 
 
-def dominant_weights(m: int, n: int, tau) -> tuple[tuple[int, ...], ...]:
-    """Weights xi with xi + staircase a strictly decreasing member point.
+@dataclass(frozen=True)
+class ColorBlock:
+    """One color's weights, in table order."""
+
+    color: int
+    weights: tuple[tuple[int, ...], ...]
+
+
+def dominant_weight_blocks(m: int, n: int, tau) -> Iterator[ColorBlock]:
+    """The weights xi with xi + staircase a strictly decreasing member point, by color.
 
     Subtracting the staircase moves every top-k and bottom-k sum of a
     strictly decreasing point by exactly the change in the support bounds
     from Z(m, n, tau) to Z(m - 1, n, tau - (n-1)/2).  So the weights are the
     dominant points one multiplicity down (m - 1 >= 0), and the scan's cost
-    grows with the table size A_n(m, 1).  The scan is in lexicographic
-    order, so the reversed scan sorted stably by color lists colors
-    ascending and each color's weights lexicographically descending.
+    grows with the table size A_n(m, 1).  Each color is scanned on its own
+    when its block is asked for, in lexicographic order, and reversed; so
+    the blocks come colors ascending, each color's weights lexicographically
+    descending, and only one block is held at a time.  Empty colors are
+    skipped.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     spec = ZonotopeSpec(m - 1, n, tau - Fraction(n - 1, 2))
-    weights = dominant_points(spec)
-    weights.reverse()
-    weights.sort(key=weight_color)
-    return tuple(weights)
+    for color in range(spec.lo_ceil[n], spec.up_floor[n] + 1):
+        weights = tuple(reversed(dominant_points(spec, color)))
+        if weights:
+            yield ColorBlock(color=color, weights=weights)
+
+
+def dominant_weights(m: int, n: int, tau) -> tuple[tuple[int, ...], ...]:
+    """The whole table: the blocks of ``dominant_weight_blocks`` concatenated."""
+    return tuple(chain.from_iterable(block.weights for block in dominant_weight_blocks(m, n, tau)))
 
 
 @dataclass(frozen=True)
@@ -88,12 +108,6 @@ class WeightTable:
     n: int
     t: Fraction
     tau: EpsRational
-    weights: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class ColorBlock:
-    color: int
     weights: tuple[tuple[int, ...], ...]
 
 

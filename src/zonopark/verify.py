@@ -418,13 +418,28 @@ def weight_translation(tables: list[WeightTable]) -> str:
 
 
 def staircase_shift_bijection(table: WeightTable) -> str:
-    """Adding the staircase to the weights gives the regular dominant points."""
+    """Adding the staircase to the weights gives the regular dominant points.
+
+    The bijection restricts to them one multiplicity down: for each weight
+    xi and x = xi + staircase, the sorted parking function of x minus
+    (0, 1, ..., n-1) is the sorted parking function of xi on
+    Z(m - 1, n, tau - (n-1)/2).
+    """
+    spec = ZonotopeSpec(table.m, table.n, table.tau)
     # a strictly decreasing point is the representative of its own orbit
-    reps = ZonotopeSpec(table.m, table.n, table.tau).representatives
-    regular_dominant = set(filter(_strictly_decreasing, reps))
+    regular_dominant = set(filter(_strictly_decreasing, spec.representatives))
     steps = staircase(table.n)
-    lifted = {tuple(w + s for w, s in zip(xi, steps)) for xi in table.weights}
-    return _differ(lifted, regular_dominant)
+    lifted = {xi: tuple(map(add, xi, steps)) for xi in table.weights}
+    detail = _differ(set(lifted.values()), regular_dominant)
+    if detail:
+        return detail
+    down = ZonotopeSpec(table.m - 1, table.n, table.tau - Fraction(table.n - 1, 2))
+    for xi, x in lifted.items():
+        restricted = tuple(a - k for k, a in enumerate(sorted(lattice_to_parking(x, spec))))
+        below = tuple(sorted(lattice_to_parking(xi, down)))
+        if restricted != below:
+            return f"{x} maps to {restricted} less (0, ..., n-1), {xi} one multiplicity down to {below}"
+    return ""
 
 
 def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> Iterator[CheckResult]:

@@ -86,7 +86,7 @@ class ZonotopeSpec:
         They are the sorted representatives of the member points.  The scan
         runs on first use and its result lives as long as the spec does.
         """
-        return tuple(_scan_decreasing(self))
+        return tuple(_scan_decreasing(self, self.lo_ceil[self.n], self.up_floor[self.n]))
 
     @cached_property
     def _multiplicity_types(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -164,62 +164,79 @@ def _locate_ascending(spec: ZonotopeSpec, ascending) -> Location:
     return Location.BOUNDARY if tight else Location.INTERIOR
 
 
-def _scan_decreasing(spec: ZonotopeSpec) -> list[tuple[int, ...]]:
-    """The weakly decreasing member tuples (boundary included), lex order.
+def _scan_decreasing(spec: ZonotopeSpec, lowest: int, highest: int) -> list[tuple[int, ...]]:
+    """The weakly decreasing member tuples with total in [lowest, highest], lex order.
 
-    Membership depends only on the sorted coordinate multiset, so these are
-    exactly the sorted representatives of all member points.  The scan
-    fixes one coordinate at a time, pruned by the partial top-sum
-    constraint and by the largest and smallest total the remaining
-    coordinates can still reach.
+    Membership depends only on the sorted coordinate multiset, so over the
+    full range ``[lo_ceil[n], up_floor[n]]`` these are exactly the sorted
+    representatives of all member points, and over ``[c, c]`` those of
+    color c.  For a weakly decreasing tuple the top-j sum is the prefix sum
+    and the bottom-k sum is the total minus a top-(n-k) sum, so every
+    constraint bounds a prefix sum: from above by ``up_floor[j]`` and by
+    ``highest`` less the least the other n-j entries can add up to, and
+    from below through the least total the prefix still needs.  The scan
+    fixes one coordinate at a time over the range of values that keeps
+    those bounds reachable, so every leaf it reaches is a member.
     """
     n = spec.n
     lo_ceil, up_floor = spec.lo_ceil, spec.up_floor
+    lowest, highest = max(lowest, lo_ceil[n]), min(highest, up_floor[n])
+    if n == 1:
+        return [(value,) for value in range(lowest, highest + 1)]
     lo1 = lo_ceil[1]
+    # the bottom n-j entries add up to at least lo_ceil[n-j], and each is at least lo1
+    rest = tuple(max(lo_ceil[n - j], (n - j) * lo1) for j in range(n + 1))
+    cap = tuple(min(up_floor[j], highest - rest[j]) for j in range(n + 1))
     out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def admissible_leaf() -> bool:
-        bottom = 0
-        for k in range(1, n + 1):
-            bottom += prefix[n - k]
-            if bottom < lo_ceil[k]:
-                return False
-        return True
-
-    def scan(depth: int, prefix_sum: int, last: int):
-        if depth == n:
-            if admissible_leaf():
-                out.append(tuple(prefix))
-            return
-        remaining = n - depth - 1
-        for value in range(lo1, last + 1):
-            total = prefix_sum + value
-            # entries are decreasing, so the prefix is the top-k sum
-            if total > up_floor[depth + 1]:
-                break
-            # the remaining entries lie between lo1 and value
-            if total + remaining * value < lo_ceil[n]:
-                continue
-            if total + remaining * lo1 > up_floor[n]:
-                break
-            prefix.append(value)
-            scan(depth + 1, total, value)
-            prefix.pop()
-
-    scan(0, 0, up_floor[1])
+    _descend(out, (), n, 0, up_floor[1], lowest, lo1, cap, rest)
     return out
 
 
-def dominant_points(spec: ZonotopeSpec) -> list[tuple[int, ...]]:
+def _descend(out, prefix, left, prefix_sum, last, need, lo1, cap, rest) -> None:
+    """Append the members that extend ``prefix`` by ``left >= 2`` more entries.
+
+    ``need`` is the least total the extensions may have: ``lowest`` or more,
+    so that every bottom-k sum so far is met.  Each entry lies in one range,
+    computed before its loop: at least lo1 and enough for the remaining
+    entries, none larger, to reach ``need``; at most the last entry and the
+    prefix-sum cap.  A module-level function, so that no closure cycle
+    keeps ``out`` alive after the scan.
+    """
+    depth = len(prefix)
+    low = max(lo1, -((prefix_sum - need) // left))
+    high = min(last, cap[depth + 1] - prefix_sum)
+    if left > 2:
+        for value in range(low, high + 1):
+            total = prefix_sum + value
+            need_next = max(need, total + rest[depth + 1])
+            _descend(out, prefix + (value,), left - 1, total, value, need_next, lo1, cap, rest)
+        return
+    append = out.append
+    top = cap[depth + 2]
+    if need == top:
+        # one total left, so the last entry is fixed
+        for value in range(low, high + 1):
+            append(prefix + (value, need - prefix_sum - value))
+        return
+    for value in range(low, high + 1):
+        total = prefix_sum + value
+        for final in range(max(lo1, need - total), min(value, top - total) + 1):
+            append(prefix + (value, final))
+
+
+def dominant_points(spec: ZonotopeSpec, color: int | None = None) -> list[tuple[int, ...]]:
     """The weakly decreasing member points (boundary included), lex order.
 
+    With ``color``, only those whose coordinates add up to it, scanned
+    afresh; without, all of them, from the representatives the spec keeps.
     Defined for every m >= 0.  The strictly decreasing members of
     Z(m, n, tau), minus the staircase (n-1, ..., 1, 0), are exactly the
     dominant points of Z(m - 1, n, tau - (n-1)/2), which is how the tilting
-    tables are read off this scan.
+    tables are read off this scan, one color at a time.
     """
-    return list(spec.representatives)
+    if color is None:
+        return list(spec.representatives)
+    return _scan_decreasing(spec, color, color)
 
 
 def enumerate_lattice_points(spec: ZonotopeSpec) -> list[tuple[int, ...]]:

@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from zonopark.cli import main
-from zonopark.parking import lattice_to_parking
+from zonopark.cli import build_parser, main
+from zonopark.parking import fuss_catalan, lattice_to_parking
 from zonopark.scalars import EpsRational, parse_scalar
 from zonopark.verify import admissible_taus
-from zonopark.zonotope import ZonotopeSpec, enumerate_lattice_points
+from zonopark.zonotope import ZonotopeSpec, dominant_points, enumerate_lattice_points
 
 
 def run_cli(capsys, *argv):
@@ -322,6 +322,44 @@ def test_streaming_commands_hold_only_the_representatives(monkeypatch, args):
             tracemalloc.stop()
     assert code == 0
     assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.fixture
+def scanned_colors(monkeypatch):
+    """Each color the tilting command scans, with the size of its block."""
+    scans = []
+
+    def recording(spec, color=None):
+        points = dominant_points(spec, color)
+        scans.append((color, len(points)))
+        return points
+
+    monkeypatch.setattr("zonopark.tilting.dominant_points", recording)
+    return scans
+
+
+@pytest.mark.parametrize("argv", [("--m", "1", "--n", "5", "--t=-2/5"), ("--m", "2", "--n", "6", "--t=0")])
+def test_tilting_scans_a_color_only_when_its_block_is_written(scanned_colors, argv):
+    # m = 1 has a single weight, so the colors below its own are empty
+    args = build_parser().parse_args(["tilting", *argv])
+    lines = args.handler(args)
+    first = json.loads(next(lines))
+    assert first["kind"] == "weight"
+    colors = [color for color, _ in scanned_colors]
+    assert colors == list(range(colors[0], first["color"] + 1))
+    assert [size for _, size in scanned_colors[:-1]] == [0] * (len(colors) - 1)
+    assert scanned_colors[-1][1] > 0
+
+
+def test_tilting_holds_one_color_block_at_a_time(scanned_colors, monkeypatch):
+    # the largest of the ten colors at (2, 10) holds 1,969 of the 16,796 weights
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        code = main(["tilting", "--m", "2", "--n", "10", "--t", "0"])
+    assert code == 0
+    sizes = [size for _, size in scanned_colors]
+    assert sum(sizes) == fuss_catalan(2, 10) == 16_796
+    assert max(sizes) == 1_969
 
 
 def test_bijection_maps_each_orbit_once(monkeypatch):

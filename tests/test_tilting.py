@@ -9,6 +9,7 @@ from zonopark.tilting import (
     WINDOWS,
     color_blocks,
     color_window_start,
+    dominant_weight_blocks,
     dominant_weights,
     staircase,
     t_grid,
@@ -172,6 +173,31 @@ def test_staircase_shift_is_bijection_with_regular_dominant_points():
             # every listed weight is dominant (weakly decreasing)
             for xi in table.weights:
                 assert all(a >= b for a, b in zip(xi, xi[1:]))
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 6), (3, 5), (2, 8)])
+def test_table_is_the_regular_representatives_sorted_by_color_then_descending(m, n):
+    # the strictly decreasing representatives of Z(m, n, tau) less the
+    # staircase, put in table order by a sort of their own
+    steps = staircase(n)
+    for t, window in product(t_grid(n), WINDOWS):
+        table = tilting_weights(m, n, t, window)
+        regular = [
+            tuple(a - s for a, s in zip(p, steps))
+            for p in ZonotopeSpec(m, n, table.tau).representatives
+            if all(a > b for a, b in zip(p, p[1:]))
+        ]
+        regular.sort(key=lambda xi: (sum(xi), [-c for c in xi]))
+        assert table.weights == tuple(regular), (t, window)
+
+
+def test_blocks_concatenate_to_the_table():
+    for m, n in [(1, 4), (2, 5), (3, 4)]:
+        for t, window in product(t_grid(n), WINDOWS):
+            table = tilting_weights(m, n, t, window)
+            blocks = list(dominant_weight_blocks(m, n, table.tau))
+            assert blocks == color_blocks(table)
+            assert all(block.weights for block in blocks)
 
 
 def test_weight_translation_by_integer_shift():

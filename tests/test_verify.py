@@ -227,6 +227,19 @@ def _(case, monkeypatch):
     return verify.staircase_shift_bijection(replace(table, weights=table.weights[1:]))
 
 
+def test_staircase_shift_bijection_reports_a_wrong_map_one_multiplicity_down(case, monkeypatch):
+    # the weights are right, so only the restricted bijection can fail
+    real = verify.lattice_to_parking
+
+    def off_below(x, spec):
+        image = real(x, spec)
+        return image if spec.m == M else (*image[:-1], image[-1] + 1)
+
+    monkeypatch.setattr(verify, "lattice_to_parking", off_below)
+    detail = verify.staircase_shift_bijection(case.tables[0])
+    assert "one multiplicity down" in detail
+
+
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_invariant_reports_a_corrupted_input(case, monkeypatch, name):
     detail = CORRUPTIONS[name](case, monkeypatch)

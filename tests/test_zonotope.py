@@ -1,18 +1,21 @@
+import gc
 import math
 import weakref
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zonopark.parking import lattice_to_parking, parking_to_lattice
 from zonopark.scalars import EpsRational, parse_scalar
+from zonopark.tilting import tilting_weights
 from zonopark.treecount import enumerate_partitions
 from zonopark.verify import admissible_taus, inadmissible_taus, sample_taus
 from zonopark.zonotope import (
     Location,
     ZonotopeSpec,
+    _scan_decreasing,
     contains,
     count_invariant_points,
     count_lattice_points,
@@ -106,6 +109,44 @@ def test_contains_matches_subset_oracle(m, n):
         # spot-check points outside as well
         corner = (hi + 1,) + (lo,) * (n - 1)
         assert contains(spec, corner).value == oracles.subset_location(m, n, tau, corner)
+
+
+@pytest.mark.parametrize("m,n", [(0, 3), (1, 4), (2, 3), (3, 3), (2, 4)])
+def test_scan_of_a_range_of_totals_matches_the_subset_oracle(m, n):
+    # every weakly decreasing tuple of the coordinate window that meets all
+    # subset-sum constraints, against the scan over each single total, over
+    # ranges of totals, and over all of them
+    for tau in sample_taus(m, n, 2) + inadmissible_taus(m, n, 2):
+        spec = ZonotopeSpec(m, n, tau)
+        lo, hi = oracles.coordinate_window(m, n, tau)
+        members = sorted(
+            p
+            for p in combinations_with_replacement(range(hi, lo - 1, -1), n)
+            if oracles.subset_location(m, n, tau, p) != "outside"
+        )
+        assert dominant_points(spec) == members
+        for color in range(n * lo - 1, n * hi + 2):
+            assert dominant_points(spec, color) == [p for p in members if sum(p) == color]
+            for width in (1, 2, n):
+                want = [p for p in members if color <= sum(p) <= color + width]
+                assert _scan_decreasing(spec, color, color + width) == want
+
+
+def test_scans_leave_no_reference_cycles():
+    # a scan that keeps its result in a cycle holds every scanned tuple
+    # until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        spec = ZonotopeSpec(2, 5, sample_taus(2, 5)[0])
+        assert len(spec.representatives) == 273
+        del spec
+        table = tilting_weights(2, 6, 0)
+        assert len(table.weights) == 132
+        del table
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_contains_dimension_mismatch():
