@@ -25,18 +25,14 @@ from .zonotope import (
     support_bounds,
 )
 from .orbits import (
-    is_regular,
-    iter_orbit,
     merge_orbits,
     normalize_partition,
     orbit_of,
     orbit_size,
-    regular_orbit_reps,
     stabilizer_partition,
 )
 from .parking import (
     canonical_class,
-    enumerate_dyck_paths,
     enumerate_parking_functions,
     fuss_catalan,
     increasing_parking_functions,
@@ -57,7 +53,6 @@ from .treecount import (
     laplacian,
     mobius,
     partition_types,
-    refines,
     regular_orbit_count_mobius,
     spanning_tree_count,
     volume_by_bases,
@@ -65,7 +60,6 @@ from .treecount import (
 from .tilting import (
     ColorBlock,
     WeightTable,
-    color_blocks,
     color_window_start,
     dominant_weight_blocks,
     dominant_weights,
@@ -73,7 +67,6 @@ from .tilting import (
     t_grid,
     tau_for_t,
     tilting_weights,
-    weight_color,
 )
 
 __version__ = "0.1.0"

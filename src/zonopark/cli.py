@@ -51,7 +51,7 @@ def _parse_tau(text: str):
 
 def _admissible_spec(args) -> ZonotopeSpec:
     spec = ZonotopeSpec(args.m, args.n, _parse_tau(args.tau))
-    if not spec.is_admissible():
+    if not spec.admissible:
         raise NotAdmissibleError(
             f"tau = {spec.tau} is not admissible for m={args.m}, n={args.n}"
         )

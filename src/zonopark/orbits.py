@@ -1,4 +1,8 @@
-"""Coordinate-permutation (S_n) utilities: orbits, stabilizers, partitions."""
+"""Coordinate-permutation (S_n) utilities: orbits, stabilizers, partitions.
+
+``merge_orbits`` is the one orbit generator: every command and check that
+expands orbits streams them from it, and ``orbit_of`` is its one-orbit list.
+"""
 
 from __future__ import annotations
 
@@ -35,11 +39,6 @@ def stabilizer_partition(x) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(g) for g in groups.values()))
 
 
-def is_regular(x) -> bool:
-    """True iff all coordinates are distinct (trivial stabilizer)."""
-    return len(set(x)) == len(x)
-
-
 def orbit_size(x) -> int:
     """Number of distinct coordinate permutations of x."""
     size = math.factorial(len(x))
@@ -48,32 +47,9 @@ def orbit_size(x) -> int:
     return size
 
 
-def iter_orbit(x) -> Iterator[tuple[int, ...]]:
-    """Yield the distinct coordinate permutations of x in lexicographic order.
-
-    The one orbit generator: from the sorted coordinates it steps to the next
-    permutation in place, holding only the current arrangement.
-    """
-    items = sorted(x)
-    last = len(items) - 1
-    while True:
-        yield tuple(items)
-        # the rightmost ascent is the entry that grows next
-        i = last - 1
-        while i >= 0 and items[i] >= items[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = last
-        while items[j] <= items[i]:
-            j -= 1
-        items[i], items[j] = items[j], items[i]
-        items[i + 1 :] = items[:i:-1]
-
-
 def orbit_of(x) -> list[tuple[int, ...]]:
-    """All distinct coordinate permutations of x, in lexicographic order, as a list."""
-    return list(iter_orbit(x))
+    """All distinct coordinate permutations of x, in lexicographic order: ``merge_orbits([x])``."""
+    return list(merge_orbits([x]))
 
 
 def merge_orbits(reps) -> Iterator[tuple[int, ...]]:
@@ -135,17 +111,3 @@ def _tails(multisets) -> list[tuple[int, ...]]:
     tails = multisets + [turned for multiset in multisets if (turned := multiset[::-1]) != multiset]
     tails.sort()
     return tails
-
-
-def regular_orbit_reps(points) -> list[tuple[int, ...]]:
-    """One strictly decreasing representative per regular orbit, sorted.
-
-    The input must be closed under coordinate permutations; this is checked
-    and a ValueError is raised otherwise.
-    """
-    point_set = {tuple(p) for p in points}
-    by_multiset = Counter(tuple(sorted(p, reverse=True)) for p in point_set)
-    for rep, count in by_multiset.items():
-        if count != orbit_size(rep):
-            raise ValueError(f"input is not closed under permutations near {rep}")
-    return sorted(rep for rep in by_multiset if is_regular(rep))

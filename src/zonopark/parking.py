@@ -72,17 +72,6 @@ def enumerate_parking_functions(m: int, n: int) -> list[tuple[int, ...]]:
     return list(merge_orbits(increasing_parking_functions(m, n)))
 
 
-def enumerate_dyck_paths(m: int, n: int) -> list[tuple[int, ...]]:
-    """Weakly increasing a with a_j <= (m-1)(j-1), in lexicographic order, as a list.
-
-    They are the weakly increasing (m-1, n)-parking functions;
-    ``increasing_parking_functions(m - 1, n)`` streams them.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    return list(increasing_parking_functions(m - 1, n))
-
-
 def fuss_catalan(m: int, n: int) -> int:
     """A_n(m, 1) = C(mn+1, n) / (mn+1), the count of (m, n)-Dyck paths."""
     if m < 1 or n < 1:
@@ -112,7 +101,7 @@ def lattice_to_parking(x, spec: ZonotopeSpec) -> tuple[int, ...]:
     command therefore calls this once per orbit, on the weakly decreasing
     representative, and relabels the coordinates of the orbit's points.
     """
-    if not spec.is_admissible():
+    if not spec.admissible:
         raise NotAdmissibleError(f"tau = {spec.tau} is not admissible")
     x = tuple(x)
     ascending = sorted(x)
@@ -144,7 +133,7 @@ def parking_to_lattice(values, spec: ZonotopeSpec) -> tuple[int, ...]:
     m, n = spec.m, spec.n
     if len(ascending) != n or not _parks(ascending, m):
         raise ValueError(f"{values} is not an ({m}, {n})-parking function")
-    if not spec.is_admissible():
+    if not spec.admissible:
         raise NotAdmissibleError(f"tau = {spec.tau} is not admissible")
     modulus = m * n + 1
     # every coordinate of a member lies in [low, low + mn], where each

@@ -160,9 +160,6 @@ class EpsRational:
         """True iff the value equals a plain integer (no eps, integral base)."""
         return self.eps_coeff == 0 and self.base.denominator == 1
 
-    def is_rational(self) -> bool:
-        return self.eps_coeff == 0
-
     # -- text --------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -60,11 +60,6 @@ def tau_for_t(m: int, n: int, t, window: str = "low") -> EpsRational:
     raise ValueError(f"window must be one of {WINDOWS}, got {window!r}")
 
 
-def weight_color(xi) -> int:
-    """The color of a weight: its coordinate sum."""
-    return sum(xi)
-
-
 @dataclass(frozen=True)
 class ColorBlock:
     """One color's weights, in table order."""
@@ -120,17 +115,6 @@ def tilting_weights(m: int, n: int, t, window: str = "low") -> WeightTable:
     return WeightTable(m=m, n=n, t=t, tau=tau, weights=dominant_weights(m, n, tau))
 
 
-def color_window_start(m: int, n: int, t, window: str = "low") -> int:
-    """Smallest possible color: ceil(n*tau) - n(n-1)/2."""
-    tau = tau_for_t(m, n, t, window)
+def color_window_start(n: int, tau) -> int:
+    """Smallest possible color of a table at shift tau: ceil(n*tau) - n(n-1)/2."""
     return math.ceil(tau * n) - n * (n - 1) // 2
-
-
-def color_blocks(table: WeightTable) -> list[ColorBlock]:
-    """Group table weights by color, ascending."""
-    grouped: dict[int, list[tuple[int, ...]]] = {}
-    for xi in table.weights:
-        grouped.setdefault(weight_color(xi), []).append(xi)
-    return [
-        ColorBlock(color=c, weights=tuple(grouped[c])) for c in sorted(grouped)
-    ]

@@ -144,36 +144,27 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     if n < 1:
         raise ValueError("n must be positive")
     found: list[Partition] = []
-    blocks: list[list[int]] = []
-
-    def place(i: int):
-        if i > n:
-            found.append(tuple(tuple(b) for b in blocks))
-            return
-        for block in blocks:
-            block.append(i)
-            place(i + 1)
-            block.pop()
-        blocks.append([i])
-        place(i + 1)
-        blocks.pop()
-
-    place(1)
+    _place(found, [], 1, n)
     found.sort()
     return tuple(found)
 
 
-def refines(finer, coarser) -> bool:
-    """True iff every block of `finer` is contained in a block of `coarser`."""
-    owner: dict[int, int] = {}
-    for idx, block in enumerate(coarser):
-        for element in block:
-            owner[element] = idx
-    for block in finer:
-        ids = {owner.get(element) for element in block}
-        if len(ids) != 1 or None in ids:
-            return False
-    return True
+def _place(found: list[Partition], blocks: list[list[int]], i: int, n: int) -> None:
+    """Append each partition that adds i, ..., n to ``blocks``, one element at a time.
+
+    A module-level function, so that no closure cycle keeps ``found`` alive
+    after the enumeration.
+    """
+    if i > n:
+        found.append(tuple(tuple(b) for b in blocks))
+        return
+    for block in blocks:
+        block.append(i)
+        _place(found, blocks, i + 1, n)
+        block.pop()
+    blocks.append([i])
+    _place(found, blocks, i + 1, n)
+    blocks.pop()
 
 
 def mobius(partition) -> int:
@@ -195,27 +186,30 @@ def partition_types(n: int) -> Iterator[tuple[Partition, int]]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    parts: list[int] = []
+    yield from _types(n, [], n, n)
 
-    def split(rest: int, largest: int):
-        if rest == 0:
-            blocks = []
-            start = 1
-            for size in parts:
-                blocks.append(tuple(range(start, start + size)))
-                start += size
-            count = math.factorial(n) // (
-                math.prod(map(math.factorial, parts))
-                * math.prod(map(math.factorial, Counter(parts).values()))
-            )
-            yield tuple(blocks), count
-            return
-        for size in range(min(rest, largest), 0, -1):
-            parts.append(size)
-            yield from split(rest - size, size)
-            parts.pop()
 
-    yield from split(n, n)
+def _types(n: int, parts: list[int], rest: int, largest: int) -> Iterator[tuple[Partition, int]]:
+    """The types that extend ``parts`` by parts of at most ``largest`` adding up to ``rest``.
+
+    A module-level function, so that no closure cycle outlives the walk.
+    """
+    if rest == 0:
+        blocks = []
+        start = 1
+        for size in parts:
+            blocks.append(tuple(range(start, start + size)))
+            start += size
+        count = math.factorial(n) // (
+            math.prod(map(math.factorial, parts))
+            * math.prod(map(math.factorial, Counter(parts).values()))
+        )
+        yield tuple(blocks), count
+        return
+    for size in range(min(rest, largest), 0, -1):
+        parts.append(size)
+        yield from _types(n, parts, rest - size, size)
+        parts.pop()
 
 
 def regular_orbit_count_mobius(m: int, n: int) -> int:

@@ -27,7 +27,6 @@ from operator import add, gt, lt, mul
 from .orbits import merge_orbits, orbit_size, stabilizer_partition
 from .parking import (
     canonical_class,
-    enumerate_dyck_paths,
     fuss_catalan,
     increasing_parking_functions,
     lattice_to_parking,
@@ -37,7 +36,6 @@ from .parking import (
 from .scalars import EpsRational, parse_scalar
 from .tilting import (
     WeightTable,
-    color_blocks,
     color_window_start,
     dominant_weights,
     staircase,
@@ -196,7 +194,7 @@ def lattice_count_tiling_index(specs: list[ZonotopeSpec]) -> str:
     for spec in specs:
         m, n = spec.m, spec.n
         got = (
-            spec.is_admissible(),
+            spec.admissible,
             count_lattice_points(spec),
             has_boundary_lattice_point(spec),
             len(spec.representatives),
@@ -210,7 +208,7 @@ def lattice_count_tiling_index(specs: list[ZonotopeSpec]) -> str:
 def inadmissible_has_boundary_point(specs: list[ZonotopeSpec]) -> str:
     """Each spec is inadmissible and has a lattice point on its boundary."""
     for spec in specs:
-        got = (spec.is_admissible(), has_boundary_lattice_point(spec))
+        got = (spec.admissible, has_boundary_lattice_point(spec))
         if got != (False, True):
             return f"admissible, boundary point at tau={spec.tau}: {got}"
     return ""
@@ -399,9 +397,9 @@ def table_size(tables: list[WeightTable]) -> str:
 def color_window(tables: list[WeightTable]) -> str:
     """Colors lie in {u, ..., u+n-1}, and for m >= 2 fill it."""
     for table in tables:
-        u = color_window_start(table.m, table.n, table.t)
+        u = color_window_start(table.n, table.tau)
         window = list(range(u, u + table.n))
-        colors = [block.color for block in color_blocks(table)]
+        colors = sorted({sum(xi) for xi in table.weights})
         if not set(colors) <= set(window) or (table.m >= 2 and colors != window):
             return f"colors {colors} at t={table.t}, window {window}"
     return ""
@@ -461,7 +459,8 @@ def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> Iter
             # parking functions
             specs = [ZonotopeSpec(m, n, tau) for tau in sample_taus(m, n)]
             spec, reps = specs[0], specs[0].representatives
-            increasing, dyck = tuple(increasing_parking_functions(m, n)), enumerate_dyck_paths(m, n)
+            increasing = tuple(increasing_parking_functions(m, n))
+            dyck = tuple(increasing_parking_functions(m - 1, n))
             graph = build_graph(m, n)
             trees = contracted_tree_counts(graph)
             tables = [tilting_weights(m, n, t) for t in t_grid(n)]

@@ -46,8 +46,9 @@ class ZonotopeSpec:
     ``T > upper`` iff ``T > floor(upper)``, and ``T == upper`` is only
     possible when ``upper`` is itself an integer; dually for the lower
     bounds.  ``lo_ceil``, ``lo_tight``, ``up_floor`` and ``up_tight`` are
-    indexed by k (index 0 unused).  They are derived from (m, n, tau), so
-    equality and hashing ignore them.
+    indexed by k (index 0 unused).  ``admissible`` is the one accessor of
+    ``is_admissible(m, n, tau)`` for the spec.  These fields are derived
+    from (m, n, tau), so equality and hashing ignore them.
     """
 
     m: int
@@ -75,9 +76,6 @@ class ZonotopeSpec:
         object.__setattr__(self, "up_floor", tuple(up_floor))
         object.__setattr__(self, "up_tight", tuple(up_tight))
         object.__setattr__(self, "admissible", is_admissible(self.m, self.n, self.tau))
-
-    def is_admissible(self) -> bool:
-        return self.admissible
 
     @cached_property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
@@ -224,18 +222,16 @@ def _descend(out, prefix, left, prefix_sum, last, need, lo1, cap, rest) -> None:
             append(prefix + (value, final))
 
 
-def dominant_points(spec: ZonotopeSpec, color: int | None = None) -> list[tuple[int, ...]]:
-    """The weakly decreasing member points (boundary included), lex order.
+def dominant_points(spec: ZonotopeSpec, color: int) -> list[tuple[int, ...]]:
+    """The weakly decreasing member points (boundary included) of one color, lex order.
 
-    With ``color``, only those whose coordinates add up to it, scanned
-    afresh; without, all of them, from the representatives the spec keeps.
-    Defined for every m >= 0.  The strictly decreasing members of
-    Z(m, n, tau), minus the staircase (n-1, ..., 1, 0), are exactly the
-    dominant points of Z(m - 1, n, tau - (n-1)/2), which is how the tilting
-    tables are read off this scan, one color at a time.
+    The color is the coordinate sum; each call scans that total afresh.
+    ``spec.representatives`` keeps those of every color.  Defined for every
+    m >= 0.  The strictly decreasing members of Z(m, n, tau), minus the
+    staircase (n-1, ..., 1, 0), are exactly the dominant points of
+    Z(m - 1, n, tau - (n-1)/2), which is how the tilting tables are read off
+    this scan, one color at a time.
     """
-    if color is None:
-        return list(spec.representatives)
     return _scan_decreasing(spec, color, color)
 
 
@@ -273,21 +269,26 @@ def count_invariant_points(spec: ZonotopeSpec, partition) -> int:
     """
     blocks = normalize_partition(partition, spec.n)
     sizes = sorted((len(b) for b in blocks), reverse=True)
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    types = spec._multiplicity_types
+    return sum(tally * _ways(sizes, 0, multiplicities, memo) for multiplicities, tally in types)
 
-    ways_memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def ways(idx: int, room: tuple[int, ...]) -> int:
-        # the count depends only on the multiset of room left for each value
-        if idx == len(sizes):
-            return 1
-        key = (idx, room)
-        if key not in ways_memo:
-            total = 0
-            for j, left in enumerate(room):
-                if left >= sizes[idx] and (j == 0 or room[j - 1] != left):
-                    rest = room[:j] + (left - sizes[idx],) + room[j + 1 :]
-                    total += room.count(left) * ways(idx + 1, tuple(sorted(rest)))
-            ways_memo[key] = total
-        return ways_memo[key]
+def _ways(sizes, idx, room, memo) -> int:
+    """The ways to give blocks ``idx``, ``idx + 1``, ... each a value with room for it.
 
-    return sum(tally * ways(0, multiplicities) for multiplicities, tally in spec._multiplicity_types)
+    ``room`` holds, sorted, how many more coordinates each value takes; the
+    count depends only on that multiset.  A module-level function, so that
+    no closure cycle keeps ``memo`` alive after the count.
+    """
+    if idx == len(sizes):
+        return 1
+    key = (idx, room)
+    if key not in memo:
+        total = 0
+        for j, left in enumerate(room):
+            if left >= sizes[idx] and (j == 0 or room[j - 1] != left):
+                rest = room[:j] + (left - sizes[idx],) + room[j + 1 :]
+                total += room.count(left) * _ways(sizes, idx + 1, tuple(sorted(rest)), memo)
+        memo[key] = total
+    return memo[key]

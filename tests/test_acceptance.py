@@ -8,7 +8,11 @@ import math
 import random
 import time
 
-from zonopark.parking import enumerate_dyck_paths, enumerate_parking_functions, fuss_catalan
+from zonopark.parking import (
+    enumerate_parking_functions,
+    fuss_catalan,
+    increasing_parking_functions,
+)
 from zonopark.tilting import t_grid, tilting_weights
 from zonopark.treecount import build_graph, composition_sum
 from zonopark.verify import (
@@ -116,7 +120,8 @@ def test_criterion_05_regular_orbits_three_routes():
     failures = []
     for m in range(1, 5):
         for n in range(1, 6):
-            dyck = enumerate_dyck_paths(m, n)
+            # the (m, n)-Dyck paths are the weakly increasing (m - 1, n)-parking functions
+            dyck = list(increasing_parking_functions(m - 1, n))
             for tau in sample_taus(m, n, 1):
                 points = enumerate_lattice_points(ZonotopeSpec(m, n, tau))
                 # the orbit count takes the points to be closed under permutations

@@ -329,7 +329,7 @@ def scanned_colors(monkeypatch):
     """Each color the tilting command scans, with the size of its block."""
     scans = []
 
-    def recording(spec, color=None):
+    def recording(spec, color):
         points = dominant_points(spec, color)
         scans.append((color, len(points)))
         return points

@@ -9,10 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
-from zonopark.orbits import regular_orbit_reps
 from zonopark.parking import (
     canonical_class,
-    enumerate_dyck_paths,
     enumerate_parking_functions,
     fuss_catalan,
     increasing_parking_functions,
@@ -94,7 +92,7 @@ def test_bijection_error_order():
 
 def test_m0_half_integer_shift_maps_its_one_point():
     spec = ZonotopeSpec(0, 2, Fraction(1, 2))
-    assert spec.is_admissible()
+    assert spec.admissible
     assert lattice_to_parking((1, 1), spec) == (0, 0)
     assert parking_to_lattice((0, 0), spec) == (1, 1)
 
@@ -132,19 +130,24 @@ def test_increasing_parking_functions_are_lazy():
         next(increasing_parking_functions(-1, 3))
 
 
+def dyck_paths(m, n):
+    """The (m, n)-Dyck paths: the weakly increasing (m - 1, n)-parking functions."""
+    return list(increasing_parking_functions(m - 1, n))
+
+
 def test_enumerate_dyck_paths_examples():
-    assert enumerate_dyck_paths(2, 2) == [(0, 0), (0, 1)]
+    assert dyck_paths(2, 2) == [(0, 0), (0, 1)]
     assert fuss_catalan(2, 2) == 2
     assert fuss_catalan(2, 4) == 14
     for n in (1, 2, 3, 5):
-        assert enumerate_dyck_paths(1, n) == [(0,) * n]
+        assert dyck_paths(1, n) == [(0,) * n]
         assert fuss_catalan(1, n) == 1
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 @pytest.mark.parametrize("n", range(1, 7))
 def test_dyck_count_matches_both_closed_forms(m, n):
-    paths = enumerate_dyck_paths(m, n)
+    paths = dyck_paths(m, n)
     assert len(set(paths)) == len(paths)
     a = math.comb(m * n + 1, n) // (m * n + 1)
     b = math.comb(m * n, n) // ((m - 1) * n + 1)
@@ -168,7 +171,7 @@ def test_orbit_to_dyck_bijection():
         ]
         images = {orbit_to_dyck(a) for a in increasing}
         assert len(images) == len(increasing)
-        assert images == set(enumerate_dyck_paths(m, n))
+        assert images == set(dyck_paths(m, n))
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (2, 3), (3, 3), (1, 4)])
@@ -209,7 +212,9 @@ def test_regular_orbit_count_equals_fuss_catalan():
     for m, n in [(1, 2), (2, 2), (2, 3), (3, 3), (4, 2), (2, 4)]:
         for tau in sample_taus(m, n, 2):
             points = enumerate_lattice_points(ZonotopeSpec(m, n, tau))
-            assert len(regular_orbit_reps(points)) == fuss_catalan(m, n)
+            # each regular orbit has one strictly decreasing point
+            regular = [p for p in points if all(a > b for a, b in zip(p, p[1:]))]
+            assert len(regular) == fuss_catalan(m, n)
 
 
 def _breakpoints(n):

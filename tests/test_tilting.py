@@ -7,7 +7,7 @@ from zonopark.parking import fuss_catalan
 from zonopark.scalars import EpsRational
 from zonopark.tilting import (
     WINDOWS,
-    color_blocks,
+    ColorBlock,
     color_window_start,
     dominant_weight_blocks,
     dominant_weights,
@@ -15,8 +15,8 @@ from zonopark.tilting import (
     t_grid,
     tau_for_t,
     tilting_weights,
-    weight_color,
 )
+from zonopark.verify import color_window
 from zonopark.zonotope import ZonotopeSpec
 
 import oracles
@@ -98,7 +98,7 @@ def test_output_order_is_color_then_reverse_lex():
             for t in t_grid(n):
                 for window in WINDOWS:
                     table = tilting_weights(m, n, t, window)
-                    keys = [(weight_color(w), tuple(-c for c in w)) for w in table.weights]
+                    keys = [(sum(w), tuple(-c for c in w)) for w in table.weights]
                     assert keys == sorted(keys), (m, n, t, window)
                     assert len(set(keys)) == len(keys) == fuss_catalan(m, n)
 
@@ -111,40 +111,60 @@ def test_table_sizes_are_fuss_catalan(m, n):
         assert len(tilting_weights(m, n, t).weights) == expected
 
 
+def colors(table):
+    """The colors (coordinate sums) of a table's weights, ascending."""
+    return sorted({sum(xi) for xi in table.weights})
+
+
 def test_color_blocks_examples():
     table = tilting_weights(2, 2, 0)
-    assert color_window_start(2, 2, 0) == 1
-    blocks = color_blocks(table)
+    assert color_window_start(2, table.tau) == 1
+    blocks = list(dominant_weight_blocks(2, 2, table.tau))
     assert [(b.color, b.weights) for b in blocks] == [
         (1, ((1, 0),)),
         (2, ((1, 1),)),
     ]
 
-    assert color_window_start(2, 4, 0) == 6
-    sizes = [len(b.weights) for b in color_blocks(tilting_weights(2, 4, 0))]
+    table = tilting_weights(2, 4, 0)
+    assert color_window_start(4, table.tau) == 6
+    sizes = [len(b.weights) for b in dominant_weight_blocks(2, 4, table.tau)]
     assert sizes == [4, 4, 4, 2]
 
-    assert color_window_start(2, 3, 0) == 3
-    colors = [b.color for b in color_blocks(tilting_weights(2, 3, 0))]
-    assert colors == [3, 4, 5]
+    table = tilting_weights(2, 3, 0)
+    assert color_window_start(3, table.tau) == 3
+    assert colors(table) == [3, 4, 5]
 
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_color_window_exact(m, n):
     for t in t_grid(n):
-        u = color_window_start(m, n, t)
-        blocks = color_blocks(tilting_weights(m, n, t))
-        assert [b.color for b in blocks] == list(range(u, u + n))
+        table = tilting_weights(m, n, t)
+        u = color_window_start(n, table.tau)
+        assert colors(table) == list(range(u, u + n))
 
 
 def test_m1_colors_stay_inside_window():
     # for m = 1 the window bound still holds though blocks may be empty
     for n in (1, 2, 3, 4):
         for t in t_grid(n):
-            u = color_window_start(1, n, t)
-            colors = {b.color for b in color_blocks(tilting_weights(1, n, t))}
-            assert colors <= set(range(u, u + n))
+            table = tilting_weights(1, n, t)
+            u = color_window_start(n, table.tau)
+            assert set(colors(table)) <= set(range(u, u + n))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_high_window_colors_fill_their_own_window(m):
+    # the window starts at the table's own tau, whichever window placed it
+    for n in range(1, 7):
+        for t in t_grid(n):
+            table = tilting_weights(m, n, t, window="high")
+            u = color_window_start(n, table.tau)
+            if m >= 2:
+                assert colors(table) == list(range(u, u + n)), (n, t)
+            else:
+                assert set(colors(table)) <= set(range(u, u + n)), (n, t)
+            assert color_window([table]) == "", (n, t)
 
 
 def _strictly_decreasing(points):
@@ -196,7 +216,11 @@ def test_blocks_concatenate_to_the_table():
         for t, window in product(t_grid(n), WINDOWS):
             table = tilting_weights(m, n, t, window)
             blocks = list(dominant_weight_blocks(m, n, table.tau))
-            assert blocks == color_blocks(table)
+            # the table's weights grouped by coordinate sum, colors ascending
+            grouped = {}
+            for xi in table.weights:
+                grouped.setdefault(sum(xi), []).append(xi)
+            assert blocks == [ColorBlock(c, tuple(grouped[c])) for c in sorted(grouped)]
             assert all(block.weights for block in blocks)
 
 
@@ -212,5 +236,5 @@ def test_weight_translation_by_integer_shift():
 def test_m2_n12_table_is_fuss_catalan_in_twelve_colors():
     table = tilting_weights(2, 12, 0)
     assert len(table.weights) == fuss_catalan(2, 12) == 208_012
-    u = color_window_start(2, 12, 0)
-    assert [b.color for b in color_blocks(table)] == list(range(u, u + 12))
+    u = color_window_start(12, table.tau)
+    assert colors(table) == list(range(u, u + 12))

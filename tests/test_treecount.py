@@ -16,7 +16,6 @@ from zonopark.treecount import (
     laplacian,
     mobius,
     partition_types,
-    refines,
     regular_orbit_count_mobius,
     spanning_tree_count,
     volume_by_bases,
@@ -157,14 +156,6 @@ def test_partition_types_count_every_set_partition(n):
     assert {tuple(len(b) for b in s): count for s, count in types} == by_type
     for blocks, _ in types:
         assert blocks in partitions
-
-
-def test_refines():
-    assert refines(((1,), (2,), (3,)), ((1, 2, 3),))
-    assert refines(((1, 2), (3,)), ((1, 2, 3),))
-    assert refines(((1, 2), (3,)), ((1, 2), (3,)))
-    assert not refines(((1, 2), (3,)), ((1, 3), (2,)))
-    assert not refines(((1, 2, 3),), ((1, 2), (3,)))
 
 
 def test_regular_orbit_count_mobius_examples():

@@ -7,7 +7,7 @@ import pytest
 
 import zonopark
 from zonopark import parking, verify, zonotope
-from zonopark.parking import enumerate_dyck_paths, enumerate_parking_functions
+from zonopark.parking import enumerate_parking_functions, increasing_parking_functions
 from zonopark.scalars import EpsRational
 from zonopark.tilting import t_grid, tilting_weights
 from zonopark.treecount import build_graph
@@ -35,7 +35,7 @@ def case():
         spec=specs[0],
         points=enumerate_lattice_points(specs[0]),
         functions=enumerate_parking_functions(M, N),
-        dyck=enumerate_dyck_paths(M, N),
+        dyck=list(increasing_parking_functions(M - 1, N)),
         graph=graph,
         trees=verify.contracted_tree_counts(graph),
         tables=[tilting_weights(M, N, t) for t in t_grid(N)],

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from zonopark.parking import lattice_to_parking, parking_to_lattice
 from zonopark.scalars import EpsRational, parse_scalar
 from zonopark.tilting import tilting_weights
-from zonopark.treecount import enumerate_partitions
+from zonopark.treecount import enumerate_partitions, partition_types
 from zonopark.verify import admissible_taus, inadmissible_taus, sample_taus
 from zonopark.zonotope import (
     Location,
@@ -104,7 +104,7 @@ def test_contains_matches_subset_oracle(m, n):
     for tau in taus:
         spec = ZonotopeSpec(m, n, tau)
         lo, hi = oracles.coordinate_window(m, n, tau)
-        for rep in dominant_points(spec):
+        for rep in spec.representatives:
             assert contains(spec, rep).value == oracles.subset_location(m, n, tau, rep)
         # spot-check points outside as well
         corner = (hi + 1,) + (lo,) * (n - 1)
@@ -124,7 +124,7 @@ def test_scan_of_a_range_of_totals_matches_the_subset_oracle(m, n):
             for p in combinations_with_replacement(range(hi, lo - 1, -1), n)
             if oracles.subset_location(m, n, tau, p) != "outside"
         )
-        assert dominant_points(spec) == members
+        assert list(spec.representatives) == members
         for color in range(n * lo - 1, n * hi + 2):
             assert dominant_points(spec, color) == [p for p in members if sum(p) == color]
             for width in (1, 2, n):
@@ -144,6 +144,24 @@ def test_scans_leave_no_reference_cycles():
         table = tilting_weights(2, 6, 0)
         assert len(table.weights) == 132
         del table
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_recursions_leave_no_reference_cycles():
+    # a recursive closure refers to itself, and that cycle keeps its state
+    # alive until the cyclic collector runs
+    spec = ZonotopeSpec(2, 4, sample_taus(2, 4)[0])
+    assert len(spec.representatives) == 55
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_partitions(6)) == 203
+        assert gc.collect() == 0
+        assert sum(count for _, count in partition_types(6)) == 203
+        assert gc.collect() == 0
+        assert count_invariant_points(spec, ((1, 2), (3,), (4,))) == 81
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -234,7 +252,9 @@ def test_count_matches_enumeration_on_grid():
 def test_representatives_live_and_die_with_their_spec():
     spec = ZonotopeSpec(3, 5, parse_scalar("53/8"))
     assert count_lattice_points(spec) == 16**4
-    assert spec.representatives == tuple(dominant_points(spec))
+    # the kept scan over all totals is the per-color scans put in lex order
+    colors = range(spec.lo_ceil[spec.n], spec.up_floor[spec.n] + 1)
+    assert spec.representatives == tuple(sorted(p for c in colors for p in dominant_points(spec, c)))
     # equality and hashing stay on (m, n, tau) once the scan is kept
     twin = ZonotopeSpec(3, 5, parse_scalar("53/8"))
     assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
@@ -259,10 +279,10 @@ def test_regular_dominant_points_are_dominant_points_one_multiplicity_down(m, n,
     steps = range(n - 1, -1, -1)
     regular = [
         tuple(a - s for a, s in zip(p, steps))
-        for p in dominant_points(ZonotopeSpec(m, n, tau))
+        for p in ZonotopeSpec(m, n, tau).representatives
         if all(a > b for a, b in zip(p, p[1:]))
     ]
-    assert regular == dominant_points(ZonotopeSpec(m - 1, n, tau - Fraction(n - 1, 2)))
+    assert tuple(regular) == ZonotopeSpec(m - 1, n, tau - Fraction(n - 1, 2)).representatives
 
 
 @pytest.mark.parametrize("n", range(1, 6))
