@@ -32,7 +32,7 @@ from fractions import Fraction
 from .orbits import merge_orbits, normalize_partition
 from .parking import fuss_catalan, increasing_parking_functions, lattice_to_parking
 from .scalars import parse_scalar
-from .tilting import dominant_weight_blocks, t_grid, tau_for_t
+from .tilting import WINDOWS, dominant_weight_blocks, t_grid, tau_for_t
 from .treecount import build_graph, contract, regular_orbit_count_mobius, spanning_tree_count
 from .verify import DEFAULT_SEED, run_checks
 from .zonotope import NotAdmissibleError, ZonotopeSpec
@@ -181,8 +181,7 @@ def _cmd_verify(args):
         payload = {"name": result.name, "ok": result.ok}
         if result.detail:
             payload["detail"] = result.detail
-        m, n = result.params.get("m"), result.params.get("n")
-        yield _line(args.format, "check", m, n, None, payload)
+        yield _line(args.format, "check", result.m, result.n, None, payload)
     summary = {"checks": checks, "failures": failures}
     yield _line(args.format, "summary", None, None, None, summary)
     return 1 if failures else 0
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="grid value, e.g. 0 or -2/3")
     p.add_argument(
         "--window",
-        choices=("low", "high"),
+        choices=WINDOWS,
         default="low",
         help="shift convention; 'high' selects the alternative window",
     )

@@ -68,22 +68,29 @@ class ColorBlock:
     weights: tuple[tuple[int, ...], ...]
 
 
-def dominant_weight_blocks(m: int, n: int, tau) -> Iterator[ColorBlock]:
-    """The weights xi with xi + staircase a strictly decreasing member point, by color.
+def weight_spec(m: int, n: int, tau) -> ZonotopeSpec:
+    """Z(m - 1, n, tau - (n-1)/2), whose dominant points are the weights at (m, n, tau).
 
     Subtracting the staircase moves every top-k and bottom-k sum of a
     strictly decreasing point by exactly the change in the support bounds
-    from Z(m, n, tau) to Z(m - 1, n, tau - (n-1)/2).  So the weights are the
-    dominant points one multiplicity down (m - 1 >= 0), and the scan's cost
-    grows with the table size A_n(m, 1).  Each color is scanned on its own
-    when its block is asked for, in lexicographic order, and reversed; so
-    the blocks come colors ascending, each color's weights lexicographically
-    descending, and only one block is held at a time.  Empty colors are
-    skipped.
+    from Z(m, n, tau) to this zonotope one multiplicity down (m - 1 >= 0).
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    spec = ZonotopeSpec(m - 1, n, tau - Fraction(n - 1, 2))
+    return ZonotopeSpec(m - 1, n, tau - Fraction(n - 1, 2))
+
+
+def dominant_weight_blocks(m: int, n: int, tau) -> Iterator[ColorBlock]:
+    """The weights xi with xi + staircase a strictly decreasing member point, by color.
+
+    The weights are the dominant points of ``weight_spec(m, n, tau)``, and
+    the scan's cost grows with the table size A_n(m, 1).  Each color is
+    scanned on its own when its block is asked for, in lexicographic order,
+    and reversed; so the blocks come colors ascending, each color's weights
+    lexicographically descending, and only one block is held at a time.
+    Empty colors are skipped.
+    """
+    spec = weight_spec(m, n, tau)
     for color in range(spec.lo_ceil[n], spec.up_floor[n] + 1):
         weights = tuple(reversed(dominant_points(spec, color)))
         if weights:

@@ -35,12 +35,14 @@ from .parking import (
 )
 from .scalars import EpsRational, parse_scalar
 from .tilting import (
+    WINDOWS,
     WeightTable,
     color_window_start,
     dominant_weights,
     staircase,
     t_grid,
     tilting_weights,
+    weight_spec,
 )
 from .treecount import (
     VOLUME_BY_BASES_MAX_N,
@@ -71,8 +73,11 @@ Point = tuple[int, ...]
 
 @dataclass
 class CheckResult:
+    """One check's outcome; ``m`` and ``n`` are None for a check not tied to an (m, n)."""
+
     name: str
-    params: dict
+    m: int | None
+    n: int | None
     ok: bool
     detail: str = ""
 
@@ -431,7 +436,7 @@ def staircase_shift_bijection(table: WeightTable) -> str:
     detail = _differ(set(lifted.values()), regular_dominant)
     if detail:
         return detail
-    down = ZonotopeSpec(table.m - 1, table.n, table.tau - Fraction(table.n - 1, 2))
+    down = weight_spec(table.m, table.n, table.tau)
     for xi, x in lifted.items():
         restricted = tuple(a - k for k, a in enumerate(sorted(lattice_to_parking(x, spec))))
         below = tuple(sorted(lattice_to_parking(xi, down)))
@@ -444,14 +449,13 @@ def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> Iter
     """Each invariant's result for 1 <= m <= max_m, 1 <= n <= max_n, yielded as it is made."""
     rng = random.Random(seed)
 
-    def run(params: dict, checks) -> Iterator[CheckResult]:
+    def run(m: int | None, n: int | None, checks) -> Iterator[CheckResult]:
         for check, *inputs in checks:
             detail = check(*inputs)
-            yield CheckResult(check.__name__, params, not detail, detail)
+            yield CheckResult(check.__name__, m, n, not detail, detail)
 
     scalar_checks = [(scalar_total_order, rng), (scalar_floor_ceil,), (scalar_text_round_trip, rng)]
-    yield from run({}, scalar_checks)
-    yield from run({"max_n": COMPOSITION_MAX_N}, [(composition_identity,)])
+    yield from run(None, None, [*scalar_checks, (composition_identity,)])
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
             # inputs shared by several checks of this (m, n), made once; each
@@ -463,32 +467,30 @@ def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> Iter
             dyck = tuple(increasing_parking_functions(m - 1, n))
             graph = build_graph(m, n)
             trees = contracted_tree_counts(graph)
-            tables = [tilting_weights(m, n, t) for t in t_grid(n)]
+            tables = [tilting_weights(m, n, t, window) for window in WINDOWS for t in t_grid(n)]
             inadmissible = [ZonotopeSpec(m, n, tau) for tau in inadmissible_taus(m, n, 3)]
             # the subset count of volume_by_bases explodes beyond these sizes
             bases = n <= VOLUME_BY_BASES_MAX_N and (n <= 4 or m <= 2)
-            yield from run(
-                {"m": m, "n": n},
-                [
-                    (support_width, spec),
-                    (lattice_count_tiling_index, specs),
-                    (inadmissible_has_boundary_point, inadmissible),
-                    (sn_invariance, merge_orbits(reps)),
-                    (translation_law, spec, merge_orbits(reps)),
-                    (class_bijection, m, n, merge_orbits(reps), merge_orbits(increasing)),
-                    (round_trip, spec, merge_orbits(reps), merge_orbits(increasing)),
-                    (equivariance, spec, merge_orbits(reps), rng, 20),
-                    (regular_orbit_routes, m, n, merge_orbits(reps), dyck),
-                    (orbit_to_dyck_bijection, merge_orbits(increasing), dyck),
-                    (tree_count_closed_form, m, n, graph),
-                    (contracted_closed_form, m, n, trees),
-                    (tree_count_equals_lattice_count, spec, graph),
-                    *([(volume_by_bases_agrees, m, n, graph)] if bases else []),
-                    (invariant_point_identity, spec, trees),
-                    (stabilizer_refinement_identity, merge_orbits(reps), trees),
-                    (table_size, tables),
-                    (color_window, tables),
-                    (weight_translation, tables),
-                    (staircase_shift_bijection, tables[0]),
-                ],
-            )
+            checks = [
+                (support_width, spec),
+                (lattice_count_tiling_index, specs),
+                (inadmissible_has_boundary_point, inadmissible),
+                (sn_invariance, merge_orbits(reps)),
+                (translation_law, spec, merge_orbits(reps)),
+                (class_bijection, m, n, merge_orbits(reps), merge_orbits(increasing)),
+                (round_trip, spec, merge_orbits(reps), merge_orbits(increasing)),
+                (equivariance, spec, merge_orbits(reps), rng, 20),
+                (regular_orbit_routes, m, n, merge_orbits(reps), dyck),
+                (orbit_to_dyck_bijection, merge_orbits(increasing), dyck),
+                (tree_count_closed_form, m, n, graph),
+                (contracted_closed_form, m, n, trees),
+                (tree_count_equals_lattice_count, spec, graph),
+                *([(volume_by_bases_agrees, m, n, graph)] if bases else []),
+                (invariant_point_identity, spec, trees),
+                (stabilizer_refinement_identity, merge_orbits(reps), trees),
+                (table_size, tables),
+                (color_window, tables),
+                (weight_translation, tables),
+                (staircase_shift_bijection, tables[0]),
+            ]
+            yield from run(m, n, checks)

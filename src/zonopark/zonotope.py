@@ -10,6 +10,11 @@ for a fixed k the extreme subset sums of a point are its top-k and bottom-k
 sorted sums.  Everything below works in exact arithmetic on those 2n
 constraints; the shift tau may carry an infinitesimal component.  Any
 m >= 0 is allowed: m = 0 leaves only the unit cube tau*(1,...,1) + [0,1]^n.
+
+The member points are the coordinate orbits of the dominant (weakly
+decreasing) ones.  ``dominant_points`` is the one scan of those: it fixes
+the coordinate total (the color) and lists that color's points.
+``spec.representatives`` is its scans over every color, colors ascending.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 
 from .orbits import merge_orbits, normalize_partition, orbit_size
 from .scalars import EpsRational, as_eps_rational
@@ -79,12 +84,14 @@ class ZonotopeSpec:
 
     @cached_property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
-        """All weakly decreasing member tuples (boundary included), lex order.
+        """All weakly decreasing member tuples (boundary included), by total, then lex.
 
-        They are the sorted representatives of the member points.  The scan
-        runs on first use and its result lives as long as the spec does.
+        They are the sorted representatives of the member points: the
+        ``dominant_points`` of each color, colors ascending.  The scans run
+        on first use and their result lives as long as the spec does.
         """
-        return tuple(_scan_decreasing(self, self.lo_ceil[self.n], self.up_floor[self.n]))
+        colors = range(self.lo_ceil[self.n], self.up_floor[self.n] + 1)
+        return tuple(chain.from_iterable(dominant_points(self, color) for color in colors))
 
     @cached_property
     def _multiplicity_types(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -162,77 +169,50 @@ def _locate_ascending(spec: ZonotopeSpec, ascending) -> Location:
     return Location.BOUNDARY if tight else Location.INTERIOR
 
 
-def _scan_decreasing(spec: ZonotopeSpec, lowest: int, highest: int) -> list[tuple[int, ...]]:
-    """The weakly decreasing member tuples with total in [lowest, highest], lex order.
-
-    Membership depends only on the sorted coordinate multiset, so over the
-    full range ``[lo_ceil[n], up_floor[n]]`` these are exactly the sorted
-    representatives of all member points, and over ``[c, c]`` those of
-    color c.  For a weakly decreasing tuple the top-j sum is the prefix sum
-    and the bottom-k sum is the total minus a top-(n-k) sum, so every
-    constraint bounds a prefix sum: from above by ``up_floor[j]`` and by
-    ``highest`` less the least the other n-j entries can add up to, and
-    from below through the least total the prefix still needs.  The scan
-    fixes one coordinate at a time over the range of values that keeps
-    those bounds reachable, so every leaf it reaches is a member.
-    """
-    n = spec.n
-    lo_ceil, up_floor = spec.lo_ceil, spec.up_floor
-    lowest, highest = max(lowest, lo_ceil[n]), min(highest, up_floor[n])
-    if n == 1:
-        return [(value,) for value in range(lowest, highest + 1)]
-    lo1 = lo_ceil[1]
-    # the bottom n-j entries add up to at least lo_ceil[n-j], and each is at least lo1
-    rest = tuple(max(lo_ceil[n - j], (n - j) * lo1) for j in range(n + 1))
-    cap = tuple(min(up_floor[j], highest - rest[j]) for j in range(n + 1))
-    out: list[tuple[int, ...]] = []
-    _descend(out, (), n, 0, up_floor[1], lowest, lo1, cap, rest)
-    return out
-
-
-def _descend(out, prefix, left, prefix_sum, last, need, lo1, cap, rest) -> None:
-    """Append the members that extend ``prefix`` by ``left >= 2`` more entries.
-
-    ``need`` is the least total the extensions may have: ``lowest`` or more,
-    so that every bottom-k sum so far is met.  Each entry lies in one range,
-    computed before its loop: at least lo1 and enough for the remaining
-    entries, none larger, to reach ``need``; at most the last entry and the
-    prefix-sum cap.  A module-level function, so that no closure cycle
-    keeps ``out`` alive after the scan.
-    """
-    depth = len(prefix)
-    low = max(lo1, -((prefix_sum - need) // left))
-    high = min(last, cap[depth + 1] - prefix_sum)
-    if left > 2:
-        for value in range(low, high + 1):
-            total = prefix_sum + value
-            need_next = max(need, total + rest[depth + 1])
-            _descend(out, prefix + (value,), left - 1, total, value, need_next, lo1, cap, rest)
-        return
-    append = out.append
-    top = cap[depth + 2]
-    if need == top:
-        # one total left, so the last entry is fixed
-        for value in range(low, high + 1):
-            append(prefix + (value, need - prefix_sum - value))
-        return
-    for value in range(low, high + 1):
-        total = prefix_sum + value
-        for final in range(max(lo1, need - total), min(value, top - total) + 1):
-            append(prefix + (value, final))
-
-
 def dominant_points(spec: ZonotopeSpec, color: int) -> list[tuple[int, ...]]:
     """The weakly decreasing member points (boundary included) of one color, lex order.
 
-    The color is the coordinate sum; each call scans that total afresh.
-    ``spec.representatives`` keeps those of every color.  Defined for every
-    m >= 0.  The strictly decreasing members of Z(m, n, tau), minus the
-    staircase (n-1, ..., 1, 0), are exactly the dominant points of
-    Z(m - 1, n, tau - (n-1)/2), which is how the tilting tables are read off
-    this scan, one color at a time.
+    The color is the coordinate sum, and each call scans that one total
+    afresh.  For a weakly decreasing tuple the top-j sum is the prefix sum,
+    and the bottom-k sum is the color minus a top-(n-k) sum, so every
+    constraint caps a prefix sum: by ``up_floor[j]``, and by the color less
+    the least the other n-j entries can add up to.  The scan fixes one
+    coordinate at a time over the range of values that keeps those caps
+    and the color reachable, so every leaf it reaches is a member.
     """
-    return _scan_decreasing(spec, color, color)
+    n = spec.n
+    lo_ceil, up_floor = spec.lo_ceil, spec.up_floor
+    if not lo_ceil[n] <= color <= up_floor[n]:
+        return []
+    if n == 1:
+        return [(color,)]
+    lo1 = lo_ceil[1]
+    # the bottom n-j entries add up to at least lo_ceil[n-j], and each is at least lo1
+    cap = tuple(min(up_floor[j], color - max(lo_ceil[n - j], (n - j) * lo1)) for j in range(n + 1))
+    out: list[tuple[int, ...]] = []
+    _descend(out, (), n, 0, up_floor[1], color, lo1, cap)
+    return out
+
+
+def _descend(out, prefix, left, prefix_sum, last, total, lo1, cap) -> None:
+    """Append the members that extend ``prefix`` by ``left >= 2`` more entries to ``total``.
+
+    Each entry lies in one range, computed before its loop: at least lo1
+    and enough for the remaining entries, none larger, to reach ``total``;
+    at most the last entry and the prefix-sum cap.  The last entry is what
+    the total leaves.  A module-level function, so that no closure cycle
+    keeps ``out`` alive after the scan.
+    """
+    depth = len(prefix)
+    low = max(lo1, -((prefix_sum - total) // left))
+    high = min(last, cap[depth + 1] - prefix_sum)
+    if left > 2:
+        for value in range(low, high + 1):
+            _descend(out, prefix + (value,), left - 1, prefix_sum + value, value, total, lo1, cap)
+        return
+    append = out.append
+    for value in range(low, high + 1):
+        append(prefix + (value, total - prefix_sum - value))
 
 
 def enumerate_lattice_points(spec: ZonotopeSpec) -> list[tuple[int, ...]]:

@@ -258,6 +258,17 @@ def test_every_invariant_has_a_corrupted_input():
     assert names == set(CORRUPTIONS)
 
 
+def test_run_checks_reads_the_high_window_tables(monkeypatch):
+    # a window start that is off only for a shift with a positive eps part,
+    # which only the tables of the high window have
+    start = verify.color_window_start
+    monkeypatch.setattr(
+        verify, "color_window_start", lambda n, tau: start(n, tau) + (tau.eps_coeff > 0)
+    )
+    failed = {r.name for r in verify.run_checks(max_m=M, max_n=N) if not r.ok}
+    assert failed == {"color_window"}
+
+
 def test_run_checks_yields_each_result_as_it_is_made(monkeypatch):
     # the scalar and composition results come before any (m, n) input is
     # built; the first such input is the representatives the streams start from
@@ -288,7 +299,7 @@ def test_run_checks_never_builds_the_point_or_parking_lists(monkeypatch):
         for name in ("enumerate_lattice_points", "enumerate_parking_functions"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     results = list(verify.run_checks(max_m=2, max_n=4))
-    assert results[-1].params == {"m": 2, "n": 4}
+    assert (results[-1].m, results[-1].n) == (2, 4)
     assert all(r.ok for r in results), [r for r in results if not r.ok]
 
 
@@ -367,7 +378,7 @@ def test_run_checks_skips_volume_by_bases_above_its_size_limit(monkeypatch):
     results = list(verify.run_checks(max_m=1, max_n=7))
     assert all(r.ok for r in results), [r for r in results if not r.ok]
     tree_names = {
-        n: [r.name for r in results if r.name in TREE_CHECKS and r.params["n"] == n]
+        n: [r.name for r in results if r.name in TREE_CHECKS and r.n == n]
         for n in (6, 7)
     }
     assert tree_names[6] == [
