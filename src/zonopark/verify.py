@@ -10,7 +10,9 @@ The point-wise checks accept any iterable of points or parking functions.
 ``run_checks`` hands each of them a fresh lexicographic stream,
 ``merge_orbits`` of the representatives or of the weakly increasing parking
 functions, so for each (m, n) it holds the representatives and one class
-bitmap of (mn+1)^(n-1) bytes, never the points.
+bitmap of (mn+1)^(n-1) bytes, never the points.  Each check reads its streams
+once; ``round_trip`` maps each point there and back, and only counts the
+parking functions.
 """
 
 from __future__ import annotations
@@ -270,16 +272,30 @@ def class_bijection(m: int, n: int, points: Iterable[Point], functions: Iterable
 
 
 def round_trip(spec: ZonotopeSpec, points: Iterable[Point], functions: Iterable[Point]) -> str:
-    """lattice_to_parking and parking_to_lattice invert each other on both sets."""
-    for start, there, back in (
-        (points, lattice_to_parking, parking_to_lattice),
-        (functions, parking_to_lattice, lattice_to_parking),
-    ):
-        for x in start:
-            image = there(x, spec)
-            if back(image, spec) != x:
-                return f"{x} -> {image} -> {back(image, spec)}"
-    return ""
+    """lattice_to_parking and parking_to_lattice invert each other on both sets.
+
+    Only the points are mapped: each point x must come back as
+    parking_to_lattice(lattice_to_parking(x)).  That makes lattice_to_parking
+    injective, and each of its images parks, or the map would raise.  The
+    parking functions are only counted, and must be strictly increasing in
+    lex order, hence distinct.  If they are as many as the points, the
+    images are all of them, so lattice_to_parking(parking_to_lattice(f)) is
+    f for each f too.  The premise is that the two streams hold every point
+    and every parking function; lattice_count_tiling_index and
+    class_bijection check the point set.
+    """
+    count = 0
+    for count, x in enumerate(points, 1):
+        image = lattice_to_parking(x, spec)
+        back = parking_to_lattice(image, spec)
+        if back != x:
+            return f"{x} -> {image} -> {back}"
+    previous, total = None, 0
+    for total, f in enumerate(functions, 1):
+        if previous is not None and f <= previous:
+            return f"parking function {f} follows {previous}: not strictly increasing"
+        previous = f
+    return _unequal(total, count, "parking functions vs points")
 
 
 def equivariance(spec: ZonotopeSpec, points: Iterable[Point], rng: random.Random, samples: int) -> str:
@@ -355,10 +371,18 @@ def volume_by_bases_agrees(m: int, n: int, graph: MultiGraph) -> str:
 
 
 def invariant_point_identity(spec: ZonotopeSpec, trees: dict[Partition, int]) -> str:
-    """Contracted trees = block-size product * points constant on each block."""
+    """Contracted trees = block-size product * points constant on each block.
+
+    The invariant-point count depends only on the sorted block sizes, so it
+    is taken once per size type.
+    """
+    by_sizes: dict[tuple[int, ...], int] = {}
     for blocks, count in trees.items():
-        invariant = count_invariant_points(spec, blocks)
-        if count != math.prod(map(len, blocks)) * invariant:
+        sizes = tuple(sorted(map(len, blocks)))
+        if sizes not in by_sizes:
+            by_sizes[sizes] = count_invariant_points(spec, blocks)
+        invariant = by_sizes[sizes]
+        if count != math.prod(sizes) * invariant:
             return f"{count} trees, {invariant} invariant points at {blocks}"
     return ""
 

@@ -208,6 +208,20 @@ def test_round_trip_and_equivariance():
                 assert left == right
 
 
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 4), (3, 3), (1, 5)])
+def test_both_maps_make_the_same_pairs(m, n):
+    # the premise of verify.round_trip, which maps only the points: the
+    # pairs (x, lattice_to_parking(x)) over the points are the pairs
+    # (parking_to_lattice(f), f) over the parking functions
+    functions = enumerate_parking_functions(m, n)
+    for tau in sample_taus(m, n):
+        spec = ZonotopeSpec(m, n, tau)
+        from_points = {(x, lattice_to_parking(x, spec)) for x in enumerate_lattice_points(spec)}
+        from_functions = {(parking_to_lattice(f, spec), f) for f in functions}
+        assert from_points == from_functions
+        assert len(from_points) == len(functions) == (m * n + 1) ** (n - 1)
+
+
 def test_regular_orbit_count_equals_fuss_catalan():
     for m, n in [(1, 2), (2, 2), (2, 3), (3, 3), (4, 2), (2, 4)]:
         for tau in sample_taus(m, n, 2):

@@ -1,5 +1,7 @@
 import functools
+import math
 import random
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -331,6 +333,70 @@ def test_class_bijection_reports_a_class_met_twice(case):
     points = [*case.points[:7], case.points[6], *case.points[8:]]
     detail = verify.class_bijection(M, N, _stream(points), _stream(case.functions))
     assert detail == f"points: class of {case.points[6]} met twice"
+
+
+# the parking functions are only counted, so a stream that maps back and
+# forth correctly but lacks or repeats one function fails only on its count
+# or its order
+
+
+def test_round_trip_reports_a_dropped_parking_function(case):
+    functions = [*case.functions[:4], *case.functions[5:]]
+    detail = verify.round_trip(case.spec, _stream(case.points), _stream(functions))
+    assert detail == f"parking functions vs points: {len(functions)} != {len(case.points)}"
+
+
+def test_round_trip_reports_a_repeated_parking_function(case):
+    functions = [*case.functions[:5], case.functions[4], *case.functions[5:]]
+    detail = verify.round_trip(case.spec, _stream(case.points), _stream(functions))
+    assert detail == (
+        f"parking function {case.functions[4]} follows {case.functions[4]}: not strictly increasing"
+    )
+
+
+def test_round_trip_calls_each_map_once_per_point(case, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in ("lattice_to_parking", "parking_to_lattice"):
+        monkeypatch.setattr(verify, name, counted(name))
+    assert verify.round_trip(case.spec, _stream(case.points), _stream(case.functions)) == ""
+    assert calls == {
+        "lattice_to_parking": len(case.points),
+        "parking_to_lattice": len(case.points),
+    }
+
+
+def test_invariant_point_identity_counts_once_per_block_size_type(case, monkeypatch):
+    # at N = 3 the five set partitions have three block-size types
+    calls = []
+    count = verify.count_invariant_points
+    monkeypatch.setattr(
+        verify,
+        "count_invariant_points",
+        lambda spec, blocks: calls.append(blocks) or count(spec, blocks),
+    )
+    assert verify.invariant_point_identity(case.spec, case.trees) == ""
+    assert len(case.trees) == 5
+    assert sorted(sorted(map(len, blocks)) for blocks in calls) == [[1, 1, 1], [1, 2], [3]]
+
+
+def test_invariant_point_identity_reports_each_wrong_tree_count(case):
+    # a count off by one at a partition whose type was counted before
+    for blocks in case.trees:
+        trees = {**case.trees, blocks: case.trees[blocks] + 1}
+        assert verify.invariant_point_identity(case.spec, trees) == (
+            f"{trees[blocks]} trees, "
+            f"{case.trees[blocks] // math.prod(map(len, blocks))} invariant points at {blocks}"
+        )
 
 
 def test_equivariance_reads_a_stream_as_it_reads_a_list(case, monkeypatch):
