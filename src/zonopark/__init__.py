@@ -58,7 +58,6 @@ from .treecount import (
     volume_by_bases,
 )
 from .tilting import (
-    ColorBlock,
     WeightTable,
     color_window_start,
     dominant_weight_blocks,

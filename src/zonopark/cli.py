@@ -162,10 +162,10 @@ def _cmd_tilting(args):
     tau = tau_for_t(args.m, args.n, t, window=args.window)
     tau_text = str(tau)
     histogram = {}
-    for block in dominant_weight_blocks(args.m, args.n, tau):
-        histogram[str(block.color)] = len(block.weights)
+    for color, weights in dominant_weight_blocks(args.m, args.n, tau):
+        histogram[str(color)] = len(weights)
         yield from _vector_lines(
-            args.format, "weight", args.m, args.n, tau_text, block.weights, color=block.color
+            args.format, "weight", args.m, args.n, tau_text, weights, color=color
         )
     summary = {"t": str(t), "count": sum(histogram.values()), "colors": histogram}
     yield _line(args.format, "summary", args.m, args.n, tau_text, summary)

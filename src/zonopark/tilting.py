@@ -60,14 +60,6 @@ def tau_for_t(m: int, n: int, t, window: str = "low") -> EpsRational:
     raise ValueError(f"window must be one of {WINDOWS}, got {window!r}")
 
 
-@dataclass(frozen=True)
-class ColorBlock:
-    """One color's weights, in table order."""
-
-    color: int
-    weights: tuple[tuple[int, ...], ...]
-
-
 def weight_spec(m: int, n: int, tau) -> ZonotopeSpec:
     """Z(m - 1, n, tau - (n-1)/2), whose dominant points are the weights at (m, n, tau).
 
@@ -80,7 +72,9 @@ def weight_spec(m: int, n: int, tau) -> ZonotopeSpec:
     return ZonotopeSpec(m - 1, n, tau - Fraction(n - 1, 2))
 
 
-def dominant_weight_blocks(m: int, n: int, tau) -> Iterator[ColorBlock]:
+def dominant_weight_blocks(
+    m: int, n: int, tau
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
     """The weights xi with xi + staircase a strictly decreasing member point, by color.
 
     The weights are the dominant points of ``weight_spec(m, n, tau)``, and
@@ -88,18 +82,19 @@ def dominant_weight_blocks(m: int, n: int, tau) -> Iterator[ColorBlock]:
     scanned on its own when its block is asked for, in lexicographic order,
     and reversed; so the blocks come colors ascending, each color's weights
     lexicographically descending, and only one block is held at a time.
-    Empty colors are skipped.
+    Each block is a ``(color, weights)`` pair in table order; empty colors
+    are skipped.
     """
     spec = weight_spec(m, n, tau)
     for color in range(spec.lo_ceil[n], spec.up_floor[n] + 1):
         weights = tuple(reversed(dominant_points(spec, color)))
         if weights:
-            yield ColorBlock(color=color, weights=weights)
+            yield color, weights
 
 
 def dominant_weights(m: int, n: int, tau) -> tuple[tuple[int, ...], ...]:
     """The whole table: the blocks of ``dominant_weight_blocks`` concatenated."""
-    return tuple(chain.from_iterable(block.weights for block in dominant_weight_blocks(m, n, tau)))
+    return tuple(chain.from_iterable(weights for _, weights in dominant_weight_blocks(m, n, tau)))
 
 
 @dataclass(frozen=True)

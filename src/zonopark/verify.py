@@ -6,13 +6,13 @@ function.  It takes its inputs explicitly and returns ``""`` when the identity
 holds, else a detail naming the values it compared.  ``run_checks`` calls them
 in one fixed order over a bounded (m, n) grid, the acceptance tests over theirs.
 
-The point-wise checks accept any iterable of points or parking functions.
-``run_checks`` hands each of them a fresh lexicographic stream,
-``merge_orbits`` of the representatives or of the weakly increasing parking
-functions, so for each (m, n) it holds the representatives and one class
-bitmap of (mn+1)^(n-1) bytes, never the points.  Each check reads its streams
-once; ``round_trip`` maps each point there and back, and only counts the
-parking functions.
+The bijection is S_n-equivariant, so the identities about orbits read one
+member per orbit: the representatives or the weakly increasing parking
+functions.  The point-wise checks accept any iterable of points or parking
+functions; ``run_checks`` hands each a fresh lexicographic ``merge_orbits``
+stream, six per (m, n), so it holds the representatives and one class bitmap
+of (mn+1)^(n-1) bytes, never the points.  ``round_trip`` maps each point
+there and back, and only counts the parking functions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, zip_longest
+from itertools import combinations
 from operator import add, gt, lt, mul
 
 from .orbits import merge_orbits, orbit_size, stabilizer_partition
@@ -236,15 +236,20 @@ def sn_invariance(points: Iterable[Point]) -> str:
     return ""
 
 
-def translation_law(spec: ZonotopeSpec, points: Iterable[Point]) -> str:
-    """The points at tau + 1, in lex order, are the points at tau shifted by (1, ..., 1)."""
-    shifted = merge_orbits(ZonotopeSpec(spec.m, spec.n, spec.tau + 1).representatives)
-    ones = (1,) * spec.n
-    for index, (got, p) in enumerate(zip_longest(shifted, points)):
-        want = None if p is None else tuple(map(add, p, ones))
-        if got != want:
-            return f"point {index} at tau={spec.tau + 1}: {got} != {want}"
-    return ""
+def translation_law(spec: ZonotopeSpec) -> str:
+    """The representatives at tau + 1 are those at tau shifted by (1, ..., 1), in order.
+
+    The shift adds n to every coordinate total and keeps lex order within a
+    total, so it keeps the order of the representatives; the points, their
+    orbits, then shift with them.
+    """
+    got = ZonotopeSpec(spec.m, spec.n, spec.tau + 1).representatives
+    want = tuple(tuple(c + 1 for c in rep) for rep in spec.representatives)
+    if got == want:
+        return ""
+    index = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    a, b = (reps[index] if index < len(reps) else None for reps in (got, want))
+    return f"representative {index} at tau={spec.tau + 1}: {a} != {b}"
 
 
 # -- parking layer -----------------------------------------------------------
@@ -298,21 +303,17 @@ def round_trip(spec: ZonotopeSpec, points: Iterable[Point], functions: Iterable[
     return _unequal(total, count, "parking functions vs points")
 
 
-def equivariance(spec: ZonotopeSpec, points: Iterable[Point], rng: random.Random, samples: int) -> str:
+def equivariance(spec: ZonotopeSpec, rng: random.Random, samples: int) -> str:
     """lattice_to_parking commutes with random permutations of random points.
 
-    The (permutation, index) pairs are drawn first, then the indexed points
-    are picked in one pass, so a stream gives the samples a list would.
+    Each point is a random arrangement of a random representative, so the
+    samples are drawn without walking the points.
     """
-    size = count_lattice_points(spec)
-    draws = [(rng.sample(range(spec.n), spec.n), rng.randrange(size)) for _ in range(samples)]
-    wanted = {index for _, index in draws}
-    last = max(wanted, default=-1)
-    picked = {index: x for index, x in enumerate(islice(points, last + 1)) if index in wanted}
-    for perm, index in draws:
-        if index not in picked:
-            return f"no point at index {index} of {size}"
-        x = picked[index]
+    reps, n = spec.representatives, spec.n
+    for _ in range(samples):
+        rep = rng.choice(reps)
+        x = tuple(rep[i] for i in rng.sample(range(n), n))
+        perm = rng.sample(range(n), n)
         left = lattice_to_parking(tuple(x[p] for p in perm), spec)
         image = lattice_to_parking(x, spec)
         right = tuple(image[p] for p in perm)
@@ -323,14 +324,19 @@ def equivariance(spec: ZonotopeSpec, points: Iterable[Point], rng: random.Random
 
 def regular_orbit_routes(m: int, n: int, points: Iterable[Point], dyck: list[Point]) -> str:
     """Regular orbits, Dyck paths, Mobius inversion and Fuss-Catalan give one count."""
-    # on permutation-closed points each regular orbit has one strictly decreasing member
+    # each regular orbit has one strictly decreasing member, among the
+    # representatives as among permutation-closed points
     orbits, mobius = sum(map(_strictly_decreasing, points)), regular_orbit_count_mobius(m, n)
     routes = dict(orbits=orbits, dyck=len(dyck), mobius=mobius, closed_form=fuss_catalan(m, n))
     return "" if len(set(routes.values())) == 1 else str(routes)
 
 
 def orbit_to_dyck_bijection(functions: Iterable[Point], dyck: list[Point]) -> str:
-    """orbit_to_dyck maps the strictly increasing parking functions onto the Dyck paths."""
+    """orbit_to_dyck maps the strictly increasing parking functions onto the Dyck paths.
+
+    ``functions`` may be all parking functions or only the weakly increasing
+    ones: each regular orbit has exactly one strictly increasing member in both.
+    """
     increasing = [a for a in functions if all(map(lt, a, a[1:]))]
     images = {orbit_to_dyck(a) for a in increasing}
     if len(images) != len(increasing):
@@ -469,7 +475,7 @@ def staircase_shift_bijection(table: WeightTable) -> str:
     return ""
 
 
-def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> Iterator[CheckResult]:
+def run_checks(max_m: int, max_n: int, seed: int = DEFAULT_SEED) -> Iterator[CheckResult]:
     """Each invariant's result for 1 <= m <= max_m, 1 <= n <= max_n, yielded as it is made."""
     rng = random.Random(seed)
 
@@ -500,12 +506,12 @@ def run_checks(max_m: int = 3, max_n: int = 4, seed: int = DEFAULT_SEED) -> Iter
                 (lattice_count_tiling_index, specs),
                 (inadmissible_has_boundary_point, inadmissible),
                 (sn_invariance, merge_orbits(reps)),
-                (translation_law, spec, merge_orbits(reps)),
+                (translation_law, spec),
                 (class_bijection, m, n, merge_orbits(reps), merge_orbits(increasing)),
                 (round_trip, spec, merge_orbits(reps), merge_orbits(increasing)),
-                (equivariance, spec, merge_orbits(reps), rng, 20),
-                (regular_orbit_routes, m, n, merge_orbits(reps), dyck),
-                (orbit_to_dyck_bijection, merge_orbits(increasing), dyck),
+                (equivariance, spec, rng, 20),
+                (regular_orbit_routes, m, n, reps, dyck),
+                (orbit_to_dyck_bijection, increasing, dyck),
                 (tree_count_closed_form, m, n, graph),
                 (contracted_closed_form, m, n, trees),
                 (tree_count_equals_lattice_count, spec, graph),

@@ -93,15 +93,6 @@ class ZonotopeSpec:
         colors = range(self.lo_ceil[self.n], self.up_floor[self.n] + 1)
         return tuple(chain.from_iterable(dominant_points(self, color) for color in colors))
 
-    @cached_property
-    def _multiplicity_types(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each sorted tuple of value multiplicities, with how many representatives have it."""
-        types: Counter[tuple[int, ...]] = Counter()
-        for rep in self.representatives:
-            # equal values of a decreasing tuple are adjacent
-            types[tuple(sorted(len(list(run)) for _, run in groupby(rep)))] += 1
-        return tuple(types.items())
-
 
 @dataclass(frozen=True)
 class SupportBounds:
@@ -244,14 +235,16 @@ def count_invariant_points(spec: ZonotopeSpec, partition) -> int:
     of the representative's distinct values such that the block sizes given
     each value add up to that value's multiplicity.  That number depends
     only on the representative's multiplicities, so representatives are
-    tallied by their sorted multiplicities, once per spec, and each type is
-    counted once.
+    tallied by their sorted multiplicities, and each type is counted once.
     """
     blocks = normalize_partition(partition, spec.n)
     sizes = sorted((len(b) for b in blocks), reverse=True)
+    # equal values of a decreasing tuple are adjacent
+    types = Counter(
+        tuple(sorted(len(list(run)) for _, run in groupby(rep))) for rep in spec.representatives
+    )
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
-    types = spec._multiplicity_types
-    return sum(tally * _ways(sizes, 0, multiplicities, memo) for multiplicities, tally in types)
+    return sum(tally * _ways(sizes, 0, room, memo) for room, tally in types.items())
 
 
 def _ways(sizes, idx, room, memo) -> int:

@@ -109,7 +109,7 @@ def test_criterion_04_bijection_suite():
             for check, detail in (
                 ("bijectivity", class_bijection(m, n, points, functions)),
                 ("round trip", round_trip(spec, points, functions)),
-                ("equivariance", equivariance(spec, points, rng, 100)),
+                ("equivariance", equivariance(spec, rng, 100)),
             ):
                 if detail:
                     failures.append((check, m, n, detail))

@@ -7,7 +7,6 @@ from zonopark.parking import fuss_catalan
 from zonopark.scalars import EpsRational
 from zonopark.tilting import (
     WINDOWS,
-    ColorBlock,
     color_window_start,
     dominant_weight_blocks,
     dominant_weights,
@@ -120,14 +119,14 @@ def test_color_blocks_examples():
     table = tilting_weights(2, 2, 0)
     assert color_window_start(2, table.tau) == 1
     blocks = list(dominant_weight_blocks(2, 2, table.tau))
-    assert [(b.color, b.weights) for b in blocks] == [
+    assert blocks == [
         (1, ((1, 0),)),
         (2, ((1, 1),)),
     ]
 
     table = tilting_weights(2, 4, 0)
     assert color_window_start(4, table.tau) == 6
-    sizes = [len(b.weights) for b in dominant_weight_blocks(2, 4, table.tau)]
+    sizes = [len(weights) for _, weights in dominant_weight_blocks(2, 4, table.tau)]
     assert sizes == [4, 4, 4, 2]
 
     table = tilting_weights(2, 3, 0)
@@ -220,8 +219,8 @@ def test_blocks_concatenate_to_the_table():
             grouped = {}
             for xi in table.weights:
                 grouped.setdefault(sum(xi), []).append(xi)
-            assert blocks == [ColorBlock(c, tuple(grouped[c])) for c in sorted(grouped)]
-            assert all(block.weights for block in blocks)
+            assert blocks == [(c, tuple(grouped[c])) for c in sorted(grouped)]
+            assert all(weights for _, weights in blocks)
 
 
 def test_weight_translation_by_integer_shift():

@@ -125,9 +125,17 @@ def _(case, monkeypatch):
     return verify.sn_invariance([p for p in case.points if p != dropped])
 
 
+def _without_representative(spec, index):
+    """A copy of the spec whose cached representatives lack the one at ``index``."""
+    spec = ZonotopeSpec(spec.m, spec.n, spec.tau)
+    reps = spec.representatives
+    spec.__dict__["representatives"] = reps[:index] + reps[index + 1 :]
+    return spec
+
+
 @corrupts(verify.translation_law)
 def _(case, monkeypatch):
-    return verify.translation_law(case.spec, case.points[1:])
+    return verify.translation_law(_without_representative(case.spec, 0))
 
 
 @corrupts(verify.class_bijection)
@@ -154,7 +162,7 @@ def _(case, monkeypatch):
     monkeypatch.setattr(
         verify, "lattice_to_parking", lambda x, spec: tuple(sorted(image(x, spec)))
     )
-    return verify.equivariance(case.spec, case.points, random.Random(5), 20)
+    return verify.equivariance(case.spec, random.Random(5), 20)
 
 
 @corrupts(verify.regular_orbit_routes)
@@ -309,6 +317,18 @@ def _stream(points):
     return (p for p in points)
 
 
+def test_run_checks_walks_six_streams_per_m_n(monkeypatch):
+    # four of points (sn_invariance, class_bijection, round_trip and
+    # stabilizer_refinement_identity) and two of parking functions
+    # (class_bijection and round_trip); the orbit-level checks walk none
+    streams = []
+    merge = verify.merge_orbits
+    monkeypatch.setattr(verify, "merge_orbits", lambda reps: streams.append(reps) or merge(reps))
+    results = list(verify.run_checks(max_m=2, max_n=3))
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
+    assert len(streams) == 6 * 2 * 3 == 36
+
+
 def test_sn_invariance_reports_a_repeated_point(case):
     points = list(case.points)
     points.insert(5, points[5])
@@ -321,11 +341,12 @@ def test_sn_invariance_reports_a_stream_out_of_lex_order(case):
     assert "not strictly increasing" in verify.sn_invariance(_stream(points))
 
 
-def test_translation_law_reports_a_stream_without_its_last_point(case):
-    detail = verify.translation_law(case.spec, _stream(case.points[:-1]))
+def test_translation_law_reports_a_missing_last_representative(case):
+    reps = case.spec.representatives
+    detail = verify.translation_law(_without_representative(case.spec, len(reps) - 1))
     assert detail == (
-        f"point {len(case.points) - 1} at tau={case.spec.tau + 1}: "
-        f"{tuple(c + 1 for c in case.points[-1])} != None"
+        f"representative {len(reps) - 1} at tau={case.spec.tau + 1}: "
+        f"{tuple(c + 1 for c in reps[-1])} != None"
     )
 
 
@@ -399,24 +420,19 @@ def test_invariant_point_identity_reports_each_wrong_tree_count(case):
         )
 
 
-def test_equivariance_reads_a_stream_as_it_reads_a_list(case, monkeypatch):
-    image = verify.lattice_to_parking
-    monkeypatch.setattr(
-        verify, "lattice_to_parking", lambda x, spec: tuple(sorted(image(x, spec)))
-    )
-    answers = []
-    for points in (case.points, _stream(case.points)):
-        rng = random.Random(5)
-        answers.append((verify.equivariance(case.spec, points, rng, 20), rng.getstate()))
-    assert answers[0][0] and answers[0] == answers[1]
+def test_equivariance_walks_no_point_stream(case, monkeypatch):
+    def refuse(reps):
+        raise RuntimeError("equivariance walked the points")
+
+    monkeypatch.setattr(verify, "merge_orbits", refuse)
+    assert verify.equivariance(case.spec, random.Random(5), 20) == ""
 
 
 def test_lattice_count_tiling_index_reports_a_missing_orbit(case, monkeypatch):
     # the point count is kept true, so only the orbit count can tell
     points = (M * N + 1) ** (N - 1)
-    spec = ZonotopeSpec(M, N, case.spec.tau)
-    reps = spec.representatives
-    spec.__dict__["representatives"] = reps[:2] + reps[3:]
+    reps = case.spec.representatives
+    spec = _without_representative(case.spec, 2)
     monkeypatch.setattr(verify, "count_lattice_points", lambda spec: points)
     detail = verify.lattice_count_tiling_index([spec])
     assert detail.endswith(
