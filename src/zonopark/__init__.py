@@ -9,7 +9,7 @@ tree and Mobius-inversion pipeline, and the weight tables with their color
 decomposition.
 """
 
-from .scalars import EpsRational, Rational, as_eps_rational, parse_scalar
+from .scalars import EpsRational, as_eps_rational, parse_scalar
 from .zonotope import (
     Location,
     NotAdmissibleError,

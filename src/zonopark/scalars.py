@@ -1,22 +1,22 @@
 """Exact scalar arithmetic: rationals extended by a one-sided infinitesimal.
 
-``Rational`` is :class:`fractions.Fraction` (arbitrary precision, always in
-lowest terms with a positive denominator).  :class:`EpsRational` adjoins a
-single formal infinitesimal ``eps`` with ``0 < eps < r`` for every positive
-rational ``r``; values have the form ``a + b*eps`` with rational ``a`` and
-integer ``b``.  This is exactly what is needed to place a shift parameter
-"just below" or "just above" a rational threshold without ever rounding.
+:class:`EpsRational` adjoins to :class:`fractions.Fraction` a single formal
+infinitesimal ``eps`` with ``0 < eps < r`` for every positive rational
+``r``; values have the form ``a + b*eps`` with rational ``a`` and integer
+``b``.  This is exactly what is needed to place a shift parameter "just
+below" or "just above" a rational threshold without ever rounding.
 
-No floating point is used anywhere.
+No floating point is used anywhere.  The ``EpsRational`` constructor is the
+one exactness check: its base must be an ``int`` or a ``Fraction``, so a
+float or a string raises ``TypeError``, and every coercion goes through it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
-
-Rational = Fraction
 
 _EPS_RE = re.compile(
     r"""^\s*
@@ -45,9 +45,8 @@ class EpsRational:
     __slots__ = ("base", "eps_coeff")
 
     def __init__(self, base, eps_coeff: int = 0):
-        if isinstance(base, EpsRational):
-            eps_coeff = eps_coeff + base.eps_coeff
-            base = base.base
+        if not isinstance(base, (int, Fraction)):
+            raise TypeError(f"cannot interpret {base!r} as an exact rational")
         if isinstance(eps_coeff, bool) or not isinstance(eps_coeff, int):
             raise TypeError(f"eps coefficient must be an integer, got {eps_coeff!r}")
         object.__setattr__(self, "base", Fraction(base))
@@ -65,15 +64,19 @@ class EpsRational:
     def _coerce(other) -> "EpsRational | None":
         if isinstance(other, EpsRational):
             return other
-        if isinstance(other, (int, Fraction)):
+        try:
             return EpsRational(other)
-        return None
+        except TypeError:
+            return None
 
-    def __eq__(self, other):
+    def _compare(self, other, op):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._key() == o._key()
+        return op(self._key(), o._key())
+
+    def __eq__(self, other):
+        return self._compare(other, operator.eq)
 
     def __hash__(self):
         if self.eps_coeff == 0:
@@ -81,28 +84,16 @@ class EpsRational:
         return hash(self._key())
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() < o._key()
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() <= o._key()
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() > o._key()
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() >= o._key()
+        return self._compare(other, operator.ge)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -176,12 +167,10 @@ class EpsRational:
 
 
 def as_eps_rational(value) -> EpsRational:
-    """Coerce an int, Fraction or EpsRational to EpsRational."""
+    """Coerce an int, Fraction or EpsRational to EpsRational; anything else raises TypeError."""
     if isinstance(value, EpsRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        return EpsRational(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact scalar")
+    return EpsRational(value)
 
 
 def parse_scalar(text: str) -> EpsRational:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .scalars import EpsRational
+from .scalars import EpsRational, as_eps_rational
 from .zonotope import ZonotopeSpec, dominant_points
 
 WINDOWS = ("low", "high")
@@ -47,16 +47,15 @@ def t_grid(n: int) -> list[Fraction]:
 
 
 def tau_for_t(m: int, n: int, t, window: str = "low") -> EpsRational:
-    """Admissible shift for a grid value t.
+    """Admissible shift for a grid value t, an int or a Fraction.
 
     "low":  t + m(n-1)/2 - eps   (the frozen table convention)
     "high": t + m(n-1) + eps     (opt-in alternative window)
     """
-    t = Fraction(t)
     if window == "low":
-        return EpsRational(t + Fraction(m * (n - 1), 2), -1)
+        return EpsRational(t, -1) + Fraction(m * (n - 1), 2)
     if window == "high":
-        return EpsRational(t + m * (n - 1), +1)
+        return EpsRational(t, +1) + m * (n - 1)
     raise ValueError(f"window must be one of {WINDOWS}, got {window!r}")
 
 
@@ -109,14 +108,13 @@ class WeightTable:
 
 
 def tilting_weights(m: int, n: int, t, window: str = "low") -> WeightTable:
-    """The weight table for grid value t (raises if t is not on the grid)."""
-    t = Fraction(t)
+    """The weight table for grid value t, an int or a Fraction (raises if t is not on the grid)."""
+    tau = tau_for_t(m, n, t, window)
     if t not in t_grid(n):
         raise ValueError(f"t = {t} is not on the grid for n = {n}")
-    tau = tau_for_t(m, n, t, window)
-    return WeightTable(m=m, n=n, t=t, tau=tau, weights=dominant_weights(m, n, tau))
+    return WeightTable(m=m, n=n, t=Fraction(t), tau=tau, weights=dominant_weights(m, n, tau))
 
 
 def color_window_start(n: int, tau) -> int:
     """Smallest possible color of a table at shift tau: ceil(n*tau) - n(n-1)/2."""
-    return math.ceil(tau * n) - n * (n - 1) // 2
+    return math.ceil(as_eps_rational(tau) * n) - n * (n - 1) // 2

@@ -15,13 +15,23 @@ def _loaded_names(node):
             yield sub.attr
 
 
-def unreferenced_functions():
-    """The public module-level functions of the package that nothing names.
+def _defined_names(node):
+    """The names a module-level statement defines: a function, a class or assigned names."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        names = (sub for sub in ast.walk(node) if isinstance(sub, ast.Name))
+        return {sub.id for sub in names if isinstance(sub.ctx, ast.Store)}
+    return set()
 
-    A function counts as used when some module of the package loads its name
-    outside the function's own definition (an import that only re-exports it
-    does not count), or when ``bench/traced.py``, the README's code or a
-    ``pyproject.toml`` script names it.
+
+def unreferenced_names():
+    """The public functions, classes and module-level names of the package that nothing reads.
+
+    A name counts as read when some module of the package loads it outside
+    its own definition (an import that only re-exports it does not count),
+    or when ``bench/traced.py``, the README's code or a ``pyproject.toml``
+    script names it.  Each is given as ``module.name``.
     """
     defined, used = set(), set()
     for name in sorted(os.listdir(PACKAGE)):
@@ -30,12 +40,10 @@ def unreferenced_functions():
         with open(os.path.join(PACKAGE, name)) as source:
             tree = ast.parse(source.read())
         for node in tree.body:
-            own = None
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defined.add(node.name)
-                own = node.name
-            # a function reached only from its own body is still unused
-            used.update(loaded for loaded in _loaded_names(node) if loaded != own)
+            own = _defined_names(node)
+            defined.update((name[:-3], public) for public in own if not public.startswith("_"))
+            # a name read only inside its own definition is still unused
+            used.update(loaded for loaded in _loaded_names(node) if loaded not in own)
     with open(os.path.join(ROOT, "bench", "traced.py")) as text:
         used.update(re.findall(r"\w+", text.read()))
     # in the README only code counts, not a word such as "contains" in prose
@@ -45,10 +53,10 @@ def unreferenced_functions():
     with open(os.path.join(ROOT, "pyproject.toml")) as text:
         scripts = text.read().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     used.update(re.findall(r":(\w+)\"", scripts))
-    return sorted(defined - used)
+    return sorted(f"{module}.{public}" for module, public in defined if public not in used)
 
 
-def test_every_public_function_is_reached():
-    # a library path that no command, check, tracer metric or documented
-    # entry point names is dead code
-    assert unreferenced_functions() == []
+def test_every_public_name_is_reached():
+    # a library path or name that no command, check, tracer metric or
+    # documented entry point reads is dead code
+    assert unreferenced_names() == []

@@ -1,22 +1,22 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from zonopark.scalars import EpsRational, Rational, as_eps_rational, parse_scalar
+from zonopark.scalars import EpsRational, as_eps_rational, parse_scalar
+from zonopark.tilting import color_window_start, tau_for_t, tilting_weights
 
 scalars = st.builds(
     EpsRational,
     st.fractions(max_denominator=40),
     st.integers(min_value=-5, max_value=5),
 )
+# the plain exact rationals a scalar compares and adds with
+rationals = st.one_of(st.integers(min_value=-5, max_value=5), st.fractions(max_denominator=40))
 
-
-def test_rational_is_exact_lowest_terms():
-    value = Rational(6, -4)
-    assert value.numerator == -3 and value.denominator == 2
-    assert Rational(1, 3) + Rational(1, 6) == Rational(1, 2)
+ORDER = (operator.lt, operator.le, operator.eq, operator.ge, operator.gt)
 
 
 def test_compare_examples():
@@ -103,17 +103,54 @@ def test_coercion():
         as_eps_rational(0.5)
 
 
-@given(scalars, scalars)
-def test_order_is_total(a, b):
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (EpsRational, (0.1,)),
+        (EpsRational, ("3/4",)),
+        (tau_for_t, (2, 3, 0.1)),
+        (tilting_weights, (2, 3, -0.5)),
+        (color_window_start, (3, 0.1)),
+    ],
+    ids=[
+        "EpsRational-float",
+        "EpsRational-str",
+        "tau_for_t",
+        "tilting_weights",
+        "color_window_start",
+    ],
+)
+def test_inexact_input_is_rejected(function, args):
+    # a float or a string never stands in for an exact rational tau or t
+    with pytest.raises(TypeError):
+        function(*args)
+
+
+@given(scalars, scalars, rationals)
+def test_order_is_total(a, b, r):
     assert (a < b) + (a == b) + (a > b) == 1
     assert (a <= b) == (a < b or a == b)
+    # > and >= are < and <= with the operands swapped
+    assert (a > b) == (b < a) and (a >= b) == (b <= a)
+    # a plain rational on either side compares as the scalar it coerces to;
+    # a's own base sits on a, or just beside it
+    for plain in (r, a.base):
+        exact = EpsRational(plain)
+        for op in ORDER:
+            assert op(a, plain) == op(a, exact) and op(plain, a) == op(exact, a)
 
 
-@given(scalars, scalars, scalars)
+@given(scalars, scalars, st.one_of(scalars, rationals))
 def test_order_is_transitive_and_translation_invariant(a, b, c):
     if a < b and b < c:
         assert a < c
-    assert (a < b) == (a + c < b + c)
+    if a <= b and b <= c:
+        assert a <= c
+    if a > b and b > c:
+        assert a > c
+    if a >= b and b >= c:
+        assert a >= c
+    assert (a < b) == (a + c < b + c) == (c + a < c + b)
 
 
 @given(scalars)
