@@ -29,10 +29,11 @@ from .orbits import (
     normalize_partition,
     orbit_of,
     orbit_size,
+    prefix_groups,
     stabilizer_partition,
 )
 from .parking import (
-    canonical_class,
+    class_index,
     enumerate_parking_functions,
     fuss_catalan,
     increasing_parking_functions,

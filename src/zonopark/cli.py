@@ -5,11 +5,15 @@ followed by any record-specific fields and a ``payload``.  Output contains
 integers, strings and nulls only; never floating point.  Identical
 arguments always produce byte-identical output.
 
-Every command writes each record as it is made, so an error can end the
-output after some records.  ``enumerate``, ``bijection`` and ``parking``
-hold only the orbit representatives, never the points; ``bijection`` maps
-each orbit once, on its representative, and relabels the coordinates of
-its points.  ``dyck`` holds only its current path, and ``tilting`` one
+Every command writes its records as they are made, so an error can end
+the output after some records.  ``enumerate``, ``bijection`` and
+``parking`` hold only the orbit representatives, never the points, and
+write one prefix group of the orbit walk at a time: the records that
+share all but their last two coordinates, with the prefix rendered once.
+``bijection`` maps each orbit once, on its representative, relabels the
+coordinates of its points, and renders the image of a prefix once per
+orbit; if a map fails, the records before that orbit's first point are
+written first.  ``dyck`` holds only its current path, and ``tilting`` one
 color block of its table at a time, each scanned just before it is
 written.  The bulk records render their constant part once per command
 and fill in their integer vectors.  ``verify`` writes each check as it
@@ -29,7 +33,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .orbits import merge_orbits, normalize_partition
+from .orbits import _tails, normalize_partition, prefix_groups
 from .parking import fuss_catalan, increasing_parking_functions, lattice_to_parking
 from .scalars import parse_scalar
 from .tilting import WINDOWS, dominant_weight_blocks, t_grid, tau_for_t
@@ -75,18 +79,19 @@ def _partition_text(blocks) -> str:
 
 # -- command handlers -------------------------------------------------------
 #
-# Every handler is a generator: it checks its arguments, yields each record
-# as a line of text as soon as it is made and returns its exit code.  The
-# checks come first, so usage and admissibility errors arrive before any
-# output.  The bulk records (points, pairs, parking functions, Dyck paths
-# and weights) fill their integer vectors into a template rendered once.
+# Every handler is a generator: it checks its arguments, yields its records
+# as text as soon as they are made, one line or one prefix group of lines
+# at a time, and returns its exit code.  The checks come first, so usage
+# and admissibility errors arrive before any output.  The bulk records
+# (points, pairs, parking functions, Dyck paths and weights) fill their
+# integer vectors into a template rendered once.
 
 
 def _cmd_enumerate(args):
     spec = _admissible_spec(args)
     tau_text = str(spec.tau)
-    points = merge_orbits(spec.representatives)
-    count = yield from _vector_lines(args.format, "point", args.m, args.n, tau_text, points)
+    groups = prefix_groups(spec.representatives)
+    count = yield from _group_lines(args.format, "point", args.m, args.n, tau_text, groups)
     yield _line(args.format, "summary", args.m, args.n, tau_text, {"count": count})
     return 0
 
@@ -95,7 +100,7 @@ def _cmd_bijection(args):
     spec = _admissible_spec(args)
     tau_text = str(spec.tau)
     payload = {"lattice": [_SLOT], "parking": [_SLOT]}
-    head, middle, tail = _template(args.format, "pair", args.m, args.n, tau_text, payload)
+    head, middle, end = _template(args.format, "pair", args.m, args.n, tau_text, payload)
     modulus = args.m * args.n + 1
     # The map is S_n-equivariant, so each orbit is mapped once, on its weakly
     # decreasing representative, when the stream first reaches it, and its
@@ -104,23 +109,45 @@ def _cmd_bijection(args):
     relabel_by_orbit: dict[tuple[int, ...], dict[int, str]] = {}
     relabel_by_shift: dict[int, dict[int, str]] = {}
     count = 0
-    for count, point in enumerate(merge_orbits(spec.representatives), 1):
-        rep = tuple(sorted(point, reverse=True))
-        relabel = relabel_by_orbit.get(rep)
-        if relabel is None:
-            image = lattice_to_parking(rep, spec)
-            relabel = relabel_by_shift.setdefault((rep[0] - image[0]) % modulus, {})
-            relabel.update(zip(rep, map(str, image)))
-            relabel_by_orbit[rep] = relabel
-        lattice, parking = ",".join(map(str, point)), ",".join(map(relabel.__getitem__, point))
-        yield head + lattice + middle + parking + tail
+    for prefix, multisets in prefix_groups(spec.representatives):
+        tails = _tails(multisets)
+        count += len(tails)
+        lattice = head + _prefix_text(prefix)
+        # the records of both tails of a multiset are rendered at once; a
+        # multiset's orbit is first reached at its first tail, the multiset
+        # itself, so the orbits are mapped in that order
+        line_of_tail: dict[tuple[int, ...], str] = {}
+        try:
+            for multiset in sorted(multisets):
+                rep = tuple(sorted(prefix + multiset, reverse=True))
+                relabel = relabel_by_orbit.get(rep)
+                if relabel is None:
+                    image = lattice_to_parking(rep, spec)
+                    relabel = relabel_by_shift.setdefault((rep[0] - image[0]) % modulus, {})
+                    relabel.update(zip(rep, map(str, image)))
+                    relabel_by_orbit[rep] = relabel
+                if len(multiset) == 1:
+                    # n = 1: no prefix, and a tail of one coordinate
+                    (a,) = multiset
+                    line_of_tail[multiset] = f"{lattice}{a}{middle}{relabel[a]}{end}"
+                    continue
+                parking = middle + "".join([relabel[value] + "," for value in prefix])
+                a, b = multiset
+                x, y = relabel[a], relabel[b]
+                line_of_tail[a, b] = f"{lattice}{a},{b}{parking}{x},{y}{end}"
+                line_of_tail[b, a] = f"{lattice}{b},{a}{parking}{y},{x}{end}"
+        except Exception:
+            # the records before the first point of the orbit that failed
+            yield "".join(map(line_of_tail.__getitem__, tails[: tails.index(multiset)]))
+            raise
+        yield "".join(map(line_of_tail.__getitem__, tails))
     yield _line(args.format, "summary", args.m, args.n, tau_text, {"count": count})
     return 0
 
 
 def _cmd_parking(args):
-    functions = merge_orbits(increasing_parking_functions(args.m, args.n))
-    count = yield from _vector_lines(args.format, "parking", args.m, args.n, None, functions)
+    groups = prefix_groups(increasing_parking_functions(args.m, args.n))
+    count = yield from _group_lines(args.format, "parking", args.m, args.n, None, groups)
     yield _line(args.format, "summary", args.m, args.n, None, {"count": count})
     return 0
 
@@ -236,8 +263,33 @@ def _vector_lines(fmt: str, kind: str, m, n, tau, vectors, **extra):
     return count
 
 
+def _prefix_text(prefix) -> str:
+    """The coordinates of a prefix as text, each followed by a comma."""
+    return "".join([f"{value}," for value in prefix])
+
+
+def _group_lines(fmt: str, kind: str, m, n, tau, groups):
+    """Yield the records of each prefix group as one string, one per point; return how many.
+
+    A group's records share the template's head and the prefix's text, so
+    those are rendered once per group, and only the tails once per record.
+    """
+    head, end = _template(fmt, kind, m, n, tau, [_SLOT])
+    count = 0
+    for prefix, multisets in groups:
+        start = head + _prefix_text(prefix)
+        tails = _tails(multisets)
+        count += len(tails)
+        if len(tails[0]) == 1:
+            # n = 1: no prefix, and tails of one coordinate
+            yield "".join([f"{start}{a}{end}" for a, in tails])
+        else:
+            yield "".join([f"{start}{a},{b}{end}" for a, b in tails])
+    return count
+
+
 def _emit(lines, out) -> int:
-    """Write each line a handler yields; return the exit code it returns."""
+    """Write each string a handler yields, a line or a prefix group of lines; return its exit code."""
     while True:
         try:
             line = next(lines)

@@ -1,7 +1,9 @@
 """Coordinate-permutation (S_n) utilities: orbits, stabilizers, partitions.
 
-``merge_orbits`` is the one orbit generator: every command and check that
-expands orbits streams them from it, and ``orbit_of`` is its one-orbit list.
+``prefix_groups`` is the one orbit walk: it yields the points of the orbits
+one prefix group at a time.  ``merge_orbits`` flattens it into points, and
+every command and check that expands orbits streams them from one of the
+two; ``orbit_of`` is the one-orbit list.
 """
 
 from __future__ import annotations
@@ -55,14 +57,27 @@ def orbit_of(x) -> list[tuple[int, ...]]:
 def merge_orbits(reps) -> Iterator[tuple[int, ...]]:
     """The union of the orbits of reps (one per orbit), lazily in lexicographic order.
 
+    The flatten of ``prefix_groups``: each group's prefix followed by each
+    of its tails.  The representatives may come in any order and with their
+    coordinates in any order, but all of one length.
+    """
+    for prefix, multisets in prefix_groups(reps):
+        yield from map(prefix.__add__, _tails(multisets))
+
+
+def prefix_groups(reps) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The points of the orbits of reps as ``(prefix, multisets)`` groups, in lexicographic order.
+
     A prefix walk.  The points that start with a given prefix are the
     orbits of what the representatives have left once the prefix's values
     are taken out of them.  So from each prefix the walk steps, in
     ascending order, to each value those remaining multisets hold, keeping
     the multisets that hold it, less one copy of it.  With two coordinates
-    left, a multiset {a, b} ends its points in (a, b) and (b, a), and the
-    sorted pairs finish the prefix.  The representatives may come in any
-    order and with their coordinates in any order, but all of one length.
+    left the walk is at a leaf, of prefix length max(n - 2, 0), and yields
+    the prefix with its remaining sorted multisets, one per orbit that has
+    points there.  The group's points are the prefix followed by each of
+    ``_tails(multisets)``: a multiset {a, b} ends its points in (a, b) and
+    (b, a).  No prefix repeats.
 
     It holds, on each of at most n - 2 levels, one list of remaining
     multisets, at most one per representative, so its memory is
@@ -81,7 +96,7 @@ def merge_orbits(reps) -> Iterator[tuple[int, ...]]:
         if n - len(prefix) > 2:
             levels.append((prefix, _branches(multisets)))
         else:
-            yield from map(prefix.__add__, _tails(multisets))
+            yield prefix, multisets
         # the next prefix is the next branch of the deepest level that has one
         while levels:
             head, branches = levels[-1]

@@ -19,7 +19,8 @@ so of the at most n+1 shifts whose lift sum is a total a member can have,
 only those whose sum matches, about two, are built and tested.
 The quotient class of a point is canonicalized by subtracting its last
 coordinate from every entry and reducing modulo mn+1, so class
-representatives are the (mn+1)^(n-1) residue vectors ending in 0.
+representatives are the (mn+1)^(n-1) residue vectors ending in 0, and
+``class_index`` numbers them.
 """
 
 from __future__ import annotations
@@ -79,18 +80,22 @@ def fuss_catalan(m: int, n: int) -> int:
     return math.comb(m * n + 1, n) // (m * n + 1)
 
 
-def canonical_class(x, m: int, n: int) -> tuple[int, ...]:
-    """Canonical representative of x modulo (mn+1)Z^n + Z(1,...,1).
+def class_index(x, m: int, n: int) -> int:
+    """The index, in range((mn+1)^(n-1)), of the class of x modulo (mn+1)Z^n + Z(1,...,1).
 
-    Subtract x_n from every coordinate, then reduce modulo mn+1; the result
-    always ends in 0 and determines the quotient class uniquely.
+    Subtract x_n from every coordinate and reduce modulo mn+1: the result
+    ends in 0 and determines the class, and its other residues, read as
+    base-(mn+1) digits, most significant first, are the index.
     """
     x = tuple(x)
     if len(x) != n:
         raise ValueError(f"expected a point of length {n}, got {len(x)}")
     modulus = m * n + 1
     last = x[-1]
-    return tuple((value - last) % modulus for value in x)
+    index = 0
+    for value in x[:-1]:
+        index = index * modulus + (value - last) % modulus
+    return index
 
 
 def lattice_to_parking(x, spec: ZonotopeSpec) -> tuple[int, ...]:

@@ -24,11 +24,11 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import add, gt, lt, mul
+from operator import add, gt, lt
 
 from .orbits import merge_orbits, orbit_size, stabilizer_partition
 from .parking import (
-    canonical_class,
+    class_index,
     fuss_catalan,
     increasing_parking_functions,
     lattice_to_parking,
@@ -259,14 +259,12 @@ def class_bijection(m: int, n: int, points: Iterable[Point], functions: Iterable
     """Points and parking functions each meet every class mod (mn+1)Z^n + Z(1,...,1) once."""
     modulus = m * n + 1
     classes = modulus ** (n - 1)
-    # a canonical class ends in 0, so its other residues, read in base
-    # mn+1, index one byte; bit 1 marks a point, bit 2 a parking function
+    # one byte a class; bit 1 marks a point, bit 2 a parking function
     marks = bytearray(classes)
-    digits = [modulus ** (n - 2 - i) for i in range(n - 1)] + [0]
     for what, bit, elements in (("points", 1, points), ("parking functions", 2, functions)):
         count = 0
         for x in elements:
-            index = sum(map(mul, canonical_class(x, m, n), digits))
+            index = class_index(x, m, n)
             if marks[index] & bit:
                 return f"{what}: class of {x} met twice"
             marks[index] |= bit

@@ -220,6 +220,20 @@ STREAM_OUTPUT_SHA256 = {
     # through a recursive builder
     ("parking", "--m", "1", "--n", "5"):
         "b1c9f4243a99c18980f028afcb149e41dc6db05ba1bd0be7e40f38a5dbf7d860",
+    # taken from the version that wrote one record per yield: each of these
+    # has an empty prefix (n <= 2), and at n = 1 tails of one coordinate
+    ("bijection", "--m", "2", "--n", "1", "--tau", "1/3"):
+        "ce43444a8f69ffddcc13bcfc48618eff700974359a9c4d798df7ce29dd04246b",
+    ("bijection", "--m", "3", "--n", "2", "--tau", "7/3", "--format", "tsv"):
+        "d0627a694d8970a3e4f964e5aa3fabeb56c0179392697a3ca645ad1eb6348ea9",
+    ("enumerate", "--m", "2", "--n", "2", "--tau", "4/3", "--format", "tsv"):
+        "9e3135f0dccf1edd1ad1c48c0edfb9bb394e25d75a8c968872ff852624978db3",
+    ("enumerate", "--m", "3", "--n", "1", "--tau", "1/2"):
+        "81baef3680bf12620b6423b75fee1ade1ab8bbe97be0bf9de6b26acb0f684a52",
+    ("parking", "--m", "3", "--n", "2"):
+        "256f01404d8dc30b926280c0a4aa2e258c61bdb8c78d022f751f82b35a075b2f",
+    ("parking", "--m", "2", "--n", "1", "--format", "tsv"):
+        "182929e30715872c6aa07164ff5a79f5e8c6bf2ecb90b1d57cdf51591667322d",
 }
 
 
@@ -379,6 +393,15 @@ def test_bijection_maps_each_orbit_once(monkeypatch):
     assert len(calls) == len(reps) == 969
     assert set(calls) == set(reps)
     assert all(type(rep) is tuple and list(rep) == sorted(rep, reverse=True) for rep in calls)
+
+
+def test_bijection_yields_one_string_per_prefix_group():
+    # 65,536 pairs in 1,792 groups of a length-3 prefix, then the summary
+    args = ("bijection", "--m", "3", "--n", "5", "--tau", "53/8")
+    parsed = build_parser().parse_args(list(args))
+    chunks = list(parsed.handler(parsed))
+    assert len(chunks) == 1_793
+    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == STREAM_OUTPUT_SHA256[args]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -7,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zonopark.orbits import (
+    _tails,
     merge_orbits,
     normalize_partition,
     orbit_of,
     orbit_size,
+    prefix_groups,
     stabilizer_partition,
 )
 from zonopark.parking import fuss_catalan
@@ -53,6 +55,20 @@ def _union_of_permutations(reps):
     return sorted({p for rep in reps for p in itertools.permutations(rep)})
 
 
+def assert_groups_flatten_to_the_orbits(reps):
+    """The prefix groups of reps, flattened, are the union of their orbits, in order.
+
+    Each prefix leaves two coordinates, or none at n <= 2, and none repeats.
+    """
+    groups = list(prefix_groups(reps))
+    points = [prefix + tail for prefix, multisets in groups for tail in _tails(multisets)]
+    assert points == _union_of_permutations(reps)
+    prefixes = [prefix for prefix, _ in groups]
+    assert len(set(prefixes)) == len(prefixes)
+    if reps:
+        assert {len(prefix) for prefix in prefixes} == {max(len(reps[0]) - 2, 0)}
+
+
 def test_merge_orbits_is_the_sorted_union_of_the_orbits():
     rng = random.Random(11)
     for _ in range(300):
@@ -75,6 +91,7 @@ def test_merge_orbits_matches_the_permutation_oracle(reps):
     # one representative per orbit, as merge_orbits requires
     reps = list({tuple(sorted(rep)): rep for rep in reps}.values())
     assert list(merge_orbits(reps)) == _union_of_permutations(reps)
+    assert_groups_flatten_to_the_orbits(reps)
 
 
 @pytest.mark.parametrize(
@@ -92,6 +109,7 @@ def test_merge_orbits_matches_the_permutation_oracle(reps):
 )
 def test_merge_orbits_small_cases(reps):
     assert list(merge_orbits(iter(reps))) == _union_of_permutations(reps)
+    assert_groups_flatten_to_the_orbits(reps)
 
 
 def test_merge_orbits_of_an_m0_spec():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 
 from zonopark.parking import (
-    canonical_class,
+    class_index,
     enumerate_parking_functions,
     fuss_catalan,
     increasing_parking_functions,
@@ -28,13 +28,16 @@ def spec_of(m, n, tau_text):
     return ZonotopeSpec(m, n, parse_scalar(tau_text))
 
 
-def test_canonical_class_examples():
-    assert canonical_class((1, 1), 2, 2) == (0, 0)
-    assert canonical_class((0, 2), 2, 2) == (3, 0)
-    assert canonical_class((2, 1), 2, 2) == (1, 0)
+def test_class_index_examples():
+    # the canonical classes (0, 0), (3, 0) and (1, 0), read in base 5
+    assert class_index((1, 1), 2, 2) == 0
+    assert class_index((0, 2), 2, 2) == 3
+    assert class_index((2, 1), 2, 2) == 1
+    with pytest.raises(ValueError):
+        class_index((1, 1, 1), 2, 2)
 
 
-def test_canonical_class_well_defined_on_lattice_shifts():
+def test_class_index_well_defined_on_lattice_shifts():
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(1, 5)
@@ -43,7 +46,7 @@ def test_canonical_class_well_defined_on_lattice_shifts():
         x = [rng.randint(-8, 8) for _ in range(n)]
         c = rng.randint(-3, 3)
         y = [xi + q * rng.randint(-2, 2) + c for xi in x]
-        assert canonical_class(x, m, n) == canonical_class(y, m, n)
+        assert class_index(x, m, n) == class_index(y, m, n)
 
 
 def test_lattice_to_parking_examples():
@@ -181,12 +184,12 @@ def test_class_bijectivity(m, n):
     spec = ZonotopeSpec(m, n, tau)
     points = enumerate_lattice_points(spec)
     functions = enumerate_parking_functions(m, n)
-    point_classes = {canonical_class(x, m, n) for x in points}
-    parking_classes = {canonical_class(a, m, n) for a in functions}
+    point_classes = {class_index(x, m, n) for x in points}
+    parking_classes = {class_index(a, m, n) for a in functions}
     assert len(point_classes) == len(points) == q ** (n - 1)
     assert len(parking_classes) == len(functions) == q ** (n - 1)
-    # surjectivity onto the full set of canonical representatives
-    assert all(rep[-1] == 0 for rep in point_classes)
+    # surjectivity onto the full set of class indices
+    assert point_classes == set(range(q ** (n - 1)))
     assert point_classes == parking_classes
 
 
