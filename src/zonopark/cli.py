@@ -22,6 +22,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 admissibility violation, 4 internal error (any other exception, reported
 as ``error: internal: ...`` and a traceback), 141 (128 + SIGPIPE) when the
 reader closes stdout before the output ends, with nothing on stderr.
+``traceback`` is imported only on an internal error, so that it is not
+part of every command's start-up.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 
 from .orbits import _tails, normalize_partition, prefix_groups
@@ -422,6 +423,8 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except Exception as exc:
+        import traceback
+
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 4

@@ -20,8 +20,8 @@ valid table of the same size from a different admissibility window.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -96,15 +96,10 @@ def dominant_weights(m: int, n: int, tau) -> tuple[tuple[int, ...], ...]:
     return tuple(chain.from_iterable(weights for _, weights in dominant_weight_blocks(m, n, tau)))
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(namedtuple("WeightTable", "m n t tau weights")):
     """One table row: the weights for a single grid value t."""
 
-    m: int
-    n: int
-    t: Fraction
-    tau: EpsRational
-    weights: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def tilting_weights(m: int, n: int, t, window: str = "low") -> WeightTable:

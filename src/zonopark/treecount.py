@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,27 +25,45 @@ from .orbits import normalize_partition
 Partition = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
 class MultiGraph:
     """Undirected multigraph given by a symmetric multiplicity matrix.
 
     Vertex 0 is the distinguished ground vertex.  Loops are not stored; the
-    diagonal is zero.
+    diagonal is zero.  A graph is immutable and compares and hashes by
+    ``mult``.
     """
 
-    mult: tuple[tuple[int, ...], ...]
+    __slots__ = ("mult",)
 
-    def __post_init__(self):
-        size = len(self.mult)
-        for row in self.mult:
+    def __init__(self, mult: tuple[tuple[int, ...], ...]):
+        size = len(mult)
+        for row in mult:
             if len(row) != size:
                 raise ValueError("multiplicity matrix must be square")
         for i in range(size):
-            if self.mult[i][i] != 0:
+            if mult[i][i] != 0:
                 raise ValueError("loops are not allowed")
             for j in range(size):
-                if self.mult[i][j] != self.mult[j][i] or self.mult[i][j] < 0:
+                if mult[i][j] != mult[j][i] or mult[i][j] < 0:
                     raise ValueError("multiplicities must be symmetric and >= 0")
+        object.__setattr__(self, "mult", mult)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mult == other.mult
+
+    def __hash__(self):
+        return hash((self.mult,))
+
+    def __repr__(self):
+        return f"MultiGraph(mult={self.mult!r})"
 
     @property
     def order(self) -> int:

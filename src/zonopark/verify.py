@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, gt, lt
@@ -73,15 +72,10 @@ COMPOSITION_MAX_N = 8
 Point = tuple[int, ...]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name m n ok detail", defaults=("",))):
     """One check's outcome; ``m`` and ``n`` are None for a check not tied to an (m, n)."""
 
-    name: str
-    m: int | None
-    n: int | None
-    ok: bool
-    detail: str = ""
+    __slots__ = ()
 
 
 def inadmissible_taus(m: int, n: int, count: int) -> list[EpsRational]:

@@ -20,8 +20,7 @@ the coordinate total (the color) and lists that color's points.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -41,7 +40,6 @@ class NotAdmissibleError(ValueError):
     """The shift parameter puts lattice points on the boundary."""
 
 
-@dataclass(frozen=True)
 class ZonotopeSpec:
     """The triple (m, n, tau) defining the shifted zonotope, m >= 0, n >= 1.
 
@@ -53,34 +51,56 @@ class ZonotopeSpec:
     bounds.  ``lo_ceil``, ``lo_tight``, ``up_floor`` and ``up_tight`` are
     indexed by k (index 0 unused).  ``admissible`` is the one accessor of
     ``is_admissible(m, n, tau)`` for the spec.  These fields are derived
-    from (m, n, tau), so equality and hashing ignore them.
+    from (m, n, tau), so equality, hashing and the repr ignore them.  A
+    spec is immutable: assigning or deleting a field raises
+    ``AttributeError``.
     """
 
     m: int
     n: int
     tau: EpsRational
-    lo_ceil: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    lo_tight: tuple[bool, ...] = field(init=False, compare=False, repr=False)
-    up_floor: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    up_tight: tuple[bool, ...] = field(init=False, compare=False, repr=False)
-    admissible: bool = field(init=False, compare=False, repr=False)
+    lo_ceil: tuple[int, ...]
+    lo_tight: tuple[bool, ...]
+    up_floor: tuple[int, ...]
+    up_tight: tuple[bool, ...]
+    admissible: bool
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 1:
+    def __init__(self, m: int, n: int, tau):
+        if m < 0 or n < 1:
             raise ValueError("m must be a non-negative and n a positive integer")
-        object.__setattr__(self, "tau", as_eps_rational(self.tau))
+        fields = self.__dict__
+        fields.update(m=m, n=n, tau=as_eps_rational(tau))
         lo_ceil, lo_tight, up_floor, up_tight = [0], [False], [0], [False]
-        for k in range(1, self.n + 1):
+        for k in range(1, n + 1):
             bounds = support_bounds(self, k)
             lo_ceil.append(math.ceil(bounds.lower))
             lo_tight.append(bounds.lower.is_integer())
             up_floor.append(math.floor(bounds.upper))
             up_tight.append(bounds.upper.is_integer())
-        object.__setattr__(self, "lo_ceil", tuple(lo_ceil))
-        object.__setattr__(self, "lo_tight", tuple(lo_tight))
-        object.__setattr__(self, "up_floor", tuple(up_floor))
-        object.__setattr__(self, "up_tight", tuple(up_tight))
-        object.__setattr__(self, "admissible", is_admissible(self.m, self.n, self.tau))
+        fields.update(
+            lo_ceil=tuple(lo_ceil),
+            lo_tight=tuple(lo_tight),
+            up_floor=tuple(up_floor),
+            up_tight=tuple(up_tight),
+            admissible=is_admissible(m, n, self.tau),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.n, self.tau) == (other.m, other.n, other.tau)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.tau))
+
+    def __repr__(self):
+        return f"ZonotopeSpec(m={self.m!r}, n={self.n!r}, tau={self.tau!r})"
 
     @cached_property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
@@ -94,13 +114,10 @@ class ZonotopeSpec:
         return tuple(chain.from_iterable(dominant_points(self, color) for color in colors))
 
 
-@dataclass(frozen=True)
-class SupportBounds:
+class SupportBounds(namedtuple("SupportBounds", "k lower upper")):
     """Exact bounds on the sum of any k coordinates of a member point."""
 
-    k: int
-    lower: EpsRational
-    upper: EpsRational
+    __slots__ = ()
 
 
 def support_bounds(spec: ZonotopeSpec, k: int) -> SupportBounds:

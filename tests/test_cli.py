@@ -480,6 +480,7 @@ def test_internal_error_exits_4(capsys, monkeypatch, error):
     code, out, err = run_cli(capsys, "catalan", "--m", "2", "--n", "4")
     assert code == 4 and out == ""
     assert err.startswith("error: internal: ") and str(error) in err
+    assert "Traceback (most recent call last)" in err
 
 
 def test_error_mid_stream_exits_4(capsys, monkeypatch):

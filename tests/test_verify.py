@@ -2,7 +2,6 @@ import functools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -214,7 +213,7 @@ def _(case, monkeypatch):
 @corrupts(verify.table_size)
 def _(case, monkeypatch):
     table = case.tables[-1]
-    return verify.table_size([*case.tables, replace(table, weights=table.weights[1:])])
+    return verify.table_size([*case.tables, table._replace(weights=table.weights[1:])])
 
 
 @corrupts(verify.color_window)
@@ -222,19 +221,19 @@ def _(case, monkeypatch):
     table = case.tables[0]
     top = max(sum(w) for w in table.weights)
     kept = tuple(w for w in table.weights if sum(w) != top)
-    return verify.color_window([replace(table, weights=kept)])
+    return verify.color_window([table._replace(weights=kept)])
 
 
 @corrupts(verify.weight_translation)
 def _(case, monkeypatch):
     table = case.tables[0]
-    return verify.weight_translation([replace(table, weights=table.weights[::-1])])
+    return verify.weight_translation([table._replace(weights=table.weights[::-1])])
 
 
 @corrupts(verify.staircase_shift_bijection)
 def _(case, monkeypatch):
     table = case.tables[0]
-    return verify.staircase_shift_bijection(replace(table, weights=table.weights[1:]))
+    return verify.staircase_shift_bijection(table._replace(weights=table.weights[1:]))
 
 
 def test_staircase_shift_bijection_reports_a_wrong_map_one_multiplicity_down(case, monkeypatch):
