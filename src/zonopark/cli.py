@@ -16,8 +16,12 @@ orbit; if a map fails, the records before that orbit's first point are
 written first.  ``dyck`` holds only its current path, and ``tilting`` one
 color block of its table at a time, each scanned just before it is
 written.  The bulk records render their constant part once per command
-and fill in their integer vectors.  ``verify`` writes each check as it
-finishes and settles its exit code after the last one.
+and fill in their integer vectors.  ``verify`` writes and flushes each
+check as it finishes, so a reader through a pipe has it before the next
+check runs and a killed run loses no finished check; it settles its exit
+code after the last one.  The bulk commands leave stdout block-buffered:
+they make thousands of records in milliseconds, and a flush per prefix
+group would be a write to the pipe per group.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 admissibility violation, 4 internal error (any other exception, reported
 as ``error: internal: ...`` and a traceback), 141 (128 + SIGPIPE) when the
@@ -289,14 +293,21 @@ def _group_lines(fmt: str, kind: str, m, n, tau, groups):
     return count
 
 
-def _emit(lines, out) -> int:
-    """Write each string a handler yields, a line or a prefix group of lines; return its exit code."""
+def _emit(lines, out, flush: bool) -> int:
+    """Write each string a handler yields, a line or a prefix group of lines; return its exit code.
+
+    With ``flush`` it flushes ``out`` after each string, so the reader has
+    it before the next one is made; without, ``out`` flushes when its
+    buffer fills.
+    """
     while True:
         try:
             line = next(lines)
         except StopIteration as done:
             return done.value
         out.write(line)
+        if flush:
+            out.flush()
 
 
 # -- parser -----------------------------------------------------------------
@@ -406,7 +417,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_fuse_flag_values(raw))
     try:
-        code = _emit(args.handler(args), sys.stdout)
+        code = _emit(args.handler(args), sys.stdout, flush=args.handler is _cmd_verify)
         # a closed pipe must show here, not in the flush at interpreter exit
         sys.stdout.flush()
     except UsageError as exc:

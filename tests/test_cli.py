@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from zonopark.cli import build_parser, main
 from zonopark.parking import fuss_catalan, lattice_to_parking
 from zonopark.scalars import EpsRational, parse_scalar
-from zonopark.verify import admissible_taus
+from zonopark.verify import admissible_taus, run_checks
 from zonopark.zonotope import ZonotopeSpec, dominant_points, enumerate_lattice_points
 
 
@@ -453,14 +454,22 @@ def test_bijection_output_does_not_rest_on_asserts():
     assert hashlib.sha256(done.stdout).hexdigest() == STREAM_OUTPUT_SHA256[args]
 
 
-def test_closed_stdout_exits_141_quietly():
-    args = ("bijection", "--m", "3", "--n", "5", "--tau", "53/8")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bijection", "--m", "3", "--n", "5", "--tau", "53/8"),
+        # verify flushes each record, so the closed pipe shows inside _emit's loop
+        ("verify", "--max-n", "5", "--max-m", "2"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_closed_stdout_exits_141_quietly(args):
     child = subprocess.Popen(
         [sys.executable, "-m", "zonopark.cli", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    assert child.stdout.readline().startswith(b'{"kind":"pair"')
+    assert child.stdout.readline().startswith(b'{"kind":"')
     child.stdout.close()
     try:
         code = child.wait(timeout=60)
@@ -469,6 +478,60 @@ def test_closed_stdout_exits_141_quietly():
         child.kill()
         child.stderr.close()
     assert code == 141 and err == b""
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_verify_hands_each_check_to_the_reader_before_the_next_runs(monkeypatch, fmt):
+    # text over a block buffer, as stdout is over a pipe: bytes reach the
+    # reader only when the buffer fills or is flushed
+    reader = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(reader)))
+    lines_read = []
+
+    def watched(max_m, max_n, seed):
+        for result in run_checks(max_m, max_n, seed):
+            lines_read.append(reader.getvalue().count(b"\n"))
+            yield result
+
+    monkeypatch.setattr("zonopark.cli.run_checks", watched)
+    assert main(["verify", "--max-n", "2", "--max-m", "2", "--format", fmt]) == 0
+    assert len(lines_read) > 1
+    assert lines_read == list(range(len(lines_read)))
+
+
+class FlushCountingSink:
+    """A stdout that keeps nothing and notes after how many writes each flush came."""
+
+    def __init__(self):
+        self.writes = 0
+        self.flushes = []
+
+    def write(self, text):
+        self.writes += 1
+
+    def flush(self):
+        self.flushes.append(self.writes)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("enumerate", "--m", "2", "--n", "5", "--tau", "4-eps"),
+        ("bijection", "--m", "3", "--n", "5", "--tau", "53/8"),
+        ("parking", "--m", "2", "--n", "5"),
+        ("dyck", "--m", "3", "--n", "8"),
+        ("tilting", "--m", "2", "--n", "10", "--t", "0"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_bulk_commands_stay_block_buffered(monkeypatch, args):
+    # thousands of strings in milliseconds: a flush each would be a write
+    # system call each, so only main's final flush may come
+    sink = FlushCountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(list(args)) == 0
+    assert sink.writes > 100
+    assert sink.flushes == [sink.writes]
 
 
 @pytest.mark.parametrize("error", [RuntimeError("broken invariant"), ValueError("bare")])
