@@ -7,19 +7,23 @@ arguments always produce byte-identical output.
 
 Every command writes its records as they are made, so an error can end
 the output after some records.  ``enumerate``, ``bijection`` and
-``parking`` hold only the orbit representatives, never the points, and
-write one prefix group of the orbit walk at a time: the records that
-share all but their last two coordinates, with the prefix rendered once.
-``bijection`` maps each orbit once, on its representative, relabels the
-coordinates of its points, and renders the image of a prefix once per
-orbit; if a map fails, the records before that orbit's first point are
-written first.  ``dyck`` holds only its current path, and ``tilting`` one
-color block of its table at a time, each scanned just before it is
-written.  The bulk records render their constant part once per command
-and fill in their integer vectors.  ``verify`` writes and flushes each
-check as it finishes, so a reader through a pipe has it before the next
-check runs and a killed run loses no finished check; it settles its exit
-code after the last one.  The bulk commands leave stdout block-buffered:
+``parking`` never hold the points, and write one prefix group of the
+orbit walk at a time: the records that share all but their last two
+coordinates, with the prefix rendered once.  A group's tails depend only
+on its sorted prefix, so each sorted prefix's tails are rendered once
+per call, as a template that its groups fill in; each tail is one
+representative less two coordinates, so these commands hold
+O(n^2 * #representatives).  ``bijection`` maps each orbit once, on its
+representative, relabels the coordinates of its points, and renders the
+image of a prefix once per shift in the group; if a map fails, the
+records before that orbit's first point are written first.  ``dyck``
+holds only its current path, and ``tilting`` one color block of its
+table at a time, each scanned just before it is written.  The bulk
+records render their constant part once per command and fill in their
+integer vectors.  ``verify`` writes and flushes each check as it
+finishes, so a reader through a pipe has it before the next check runs
+and a killed run loses no finished check; it settles its exit code after
+the last one.  The bulk commands leave stdout block-buffered:
 they make thousands of records in milliseconds, and a flush per prefix
 group would be a write to the pipe per group.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
@@ -111,41 +115,65 @@ def _cmd_bijection(args):
     # decreasing representative, when the stream first reaches it, and its
     # points are relabelled coordinate by coordinate.  Orbits with the same
     # shift share one value -> image text table.
-    relabel_by_orbit: dict[tuple[int, ...], dict[int, str]] = {}
+    shift_of_orbit: dict[tuple[int, ...], int] = {}
     relabel_by_shift: dict[int, dict[int, str]] = {}
+    # A group's orbits and tails depend only on its sorted prefix, and the
+    # first group of a sorted prefix is that prefix itself, where each of
+    # its orbits is first reached.  So its orbits are mapped there, and its
+    # records rendered once, as a _group_template whose parking fields,
+    # 3 + i, take the middle and the parking prefix under the i-th shift's
+    # table, rendered once per shift, not per orbit.
+    templates: dict[tuple[int, ...], tuple[str, tuple[int, ...], int]] = {}
+
+    def records(template, shifts, prefix) -> str:
+        start = head + _prefix_text(prefix)
+        parkings = [
+            middle + "".join([relabel[v] + "," for v in prefix])
+            for relabel in map(relabel_by_shift.__getitem__, shifts)
+        ]
+        return template.format(end + start, start, end, *parkings)
+
     count = 0
     for prefix, multisets in prefix_groups(spec.representatives):
-        tails = _tails(multisets)
-        count += len(tails)
-        lattice = head + _prefix_text(prefix)
-        # the records of both tails of a multiset are rendered at once; a
-        # multiset's orbit is first reached at its first tail, the multiset
-        # itself, so the orbits are mapped in that order
-        line_of_tail: dict[tuple[int, ...], str] = {}
-        try:
-            for multiset in sorted(multisets):
-                rep = tuple(sorted(prefix + multiset, reverse=True))
-                relabel = relabel_by_orbit.get(rep)
-                if relabel is None:
-                    image = lattice_to_parking(rep, spec)
-                    relabel = relabel_by_shift.setdefault((rep[0] - image[0]) % modulus, {})
-                    relabel.update(zip(rep, map(str, image)))
-                    relabel_by_orbit[rep] = relabel
-                if len(multiset) == 1:
-                    # n = 1: no prefix, and a tail of one coordinate
-                    (a,) = multiset
-                    line_of_tail[multiset] = f"{lattice}{a}{middle}{relabel[a]}{end}"
-                    continue
-                parking = middle + "".join([relabel[value] + "," for value in prefix])
-                a, b = multiset
-                x, y = relabel[a], relabel[b]
-                line_of_tail[a, b] = f"{lattice}{a},{b}{parking}{x},{y}{end}"
-                line_of_tail[b, a] = f"{lattice}{b},{a}{parking}{y},{x}{end}"
-        except Exception:
-            # the records before the first point of the orbit that failed
-            yield "".join(map(line_of_tail.__getitem__, tails[: tails.index(multiset)]))
-            raise
-        yield "".join(map(line_of_tail.__getitem__, tails))
+        key = tuple(sorted(prefix))
+        entry = templates.get(key)
+        if entry is None:
+            tails = _tails(multisets)
+            fields: dict[int, str] = {}
+            piece_of_tail: dict[tuple[int, ...], str] = {}
+            # both tails of a multiset are rendered at once; a multiset's
+            # orbit is first reached at its first tail, the multiset itself,
+            # so the orbits are mapped in that order
+            try:
+                for multiset in sorted(multisets):
+                    rep = tuple(sorted(key + multiset, reverse=True))
+                    shift = shift_of_orbit.get(rep)
+                    if shift is None:
+                        image = lattice_to_parking(rep, spec)
+                        shift = shift_of_orbit[rep] = (rep[0] - image[0]) % modulus
+                        relabel_by_shift.setdefault(shift, {}).update(zip(rep, map(str, image)))
+                    relabel = relabel_by_shift[shift]
+                    field = fields.setdefault(shift, f"{{{len(fields) + 3}}}")
+                    if len(multiset) == 1:
+                        # n = 1: no prefix, and a tail of one coordinate
+                        (a,) = multiset
+                        piece_of_tail[multiset] = f"{a}{field}{relabel[a]}"
+                        continue
+                    a, b = multiset
+                    x, y = relabel[a], relabel[b]
+                    piece_of_tail[a, b] = f"{a},{b}{field}{x},{y}"
+                    piece_of_tail[b, a] = f"{b},{a}{field}{y},{x}"
+            except Exception:
+                # the records before the first point of the orbit that failed
+                done = tails[: tails.index(multiset)]
+                template = _group_template(map(piece_of_tail.__getitem__, done))
+                yield records(template, fields, prefix)
+                raise
+            template = _group_template(map(piece_of_tail.__getitem__, tails))
+            entry = templates[key] = template, tuple(fields), len(tails)
+        template, shifts, size = entry
+        count += size
+        yield records(template, shifts, prefix)
     yield _line(args.format, "summary", args.m, args.n, tau_text, {"count": count})
     return 0
 
@@ -273,23 +301,38 @@ def _prefix_text(prefix) -> str:
     return "".join([f"{value}," for value in prefix])
 
 
+def _group_template(tails) -> str:
+    """A ``str.format`` template for the records of a prefix group, from its tails' texts.
+
+    Field 0 goes between two records, the end of one and the start of the
+    next; field 1 is the start of the first record and field 2 the end of
+    the last.  So a tail costs one field, not two.  No tails, no records.
+    """
+    text = "{0}".join(tails)
+    return "{1}" + text + "{2}" if text else ""
+
+
 def _group_lines(fmt: str, kind: str, m, n, tau, groups):
     """Yield the records of each prefix group as one string, one per point; return how many.
 
-    A group's records share the template's head and the prefix's text, so
-    those are rendered once per group, and only the tails once per record.
+    A group's tails depend only on its sorted prefix, so they are rendered
+    once per sorted prefix, as a ``_group_template`` that each of its
+    groups fills in with the head and its own prefix.
     """
     head, end = _template(fmt, kind, m, n, tau, [_SLOT])
+    templates: dict[tuple[int, ...], tuple[str, int]] = {}
     count = 0
     for prefix, multisets in groups:
+        key = tuple(sorted(prefix))
+        entry = templates.get(key)
+        if entry is None:
+            tails = _tails(multisets)
+            template = _group_template([",".join(map(str, tail)) for tail in tails])
+            entry = templates[key] = template, len(tails)
+        template, size = entry
+        count += size
         start = head + _prefix_text(prefix)
-        tails = _tails(multisets)
-        count += len(tails)
-        if len(tails[0]) == 1:
-            # n = 1: no prefix, and tails of one coordinate
-            yield "".join([f"{start}{a}{end}" for a, in tails])
-        else:
-            yield "".join([f"{start}{a},{b}{end}" for a, b in tails])
+        yield template.format(end + start, start, end)
     return count
 
 

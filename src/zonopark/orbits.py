@@ -81,7 +81,13 @@ def prefix_groups(reps) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]
 
     It holds, on each of at most n - 2 levels, one list of remaining
     multisets, at most one per representative, so its memory is
-    O(n * #representatives).  It never holds the points.
+    O(n * #representatives).  It never holds the points.  A group's
+    multisets depend only on the sorted prefix, which first occurs as
+    itself and then once per other arrangement of its values, so a
+    renderer may render each sorted prefix's tails once.  Each tail is one
+    representative less two coordinates, so the three orbit commands,
+    which keep those renderings for their call, hold
+    O(n^2 * #representatives).
     """
     multisets = [tuple(sorted(rep)) for rep in reps]
     if not multisets:

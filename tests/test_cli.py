@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from zonopark import cli, orbits
 from zonopark.cli import build_parser, main
 from zonopark.parking import fuss_catalan, lattice_to_parking
 from zonopark.scalars import EpsRational, parse_scalar
@@ -327,6 +328,23 @@ def test_streaming_commands_hold_only_the_representatives(monkeypatch, args):
     # per representative (and bijection one relabel table per shift).  The
     # 43,263 Dyck paths of (3, 8) held as a list peak near 4.9 MiB; the
     # successor scan holds only the current path
+    code, peak = traced_peak(monkeypatch, args)
+    assert code == 0
+    assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_bijection_renders_each_sorted_prefix_in_bounded_memory(monkeypatch):
+    # the 1,792 groups at (3, 5) share 357 sorted prefixes, each kept as one
+    # template string, about 0.2 MiB in all; run alone the command peaks
+    # near 0.8 MiB; one string per tail would add 13,056 string headers,
+    # about 0.6 MiB
+    code, peak = traced_peak(monkeypatch, ("bijection", "--m", "3", "--n", "5", "--tau", "53/8"))
+    assert code == 0
+    assert peak < 1.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def traced_peak(monkeypatch, args):
+    """Run the command into devnull; return its exit code and traced peak in bytes."""
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -335,8 +353,7 @@ def test_streaming_commands_hold_only_the_representatives(monkeypatch, args):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert code == 0
-    assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    return code, peak
 
 
 @pytest.fixture
@@ -403,6 +420,30 @@ def test_bijection_yields_one_string_per_prefix_group():
     chunks = list(parsed.handler(parsed))
     assert len(chunks) == 1_793
     assert hashlib.sha256("".join(chunks).encode()).hexdigest() == STREAM_OUTPUT_SHA256[args]
+
+
+def test_render_memos_live_for_one_call():
+    # each call keys its templates on the sorted prefix; a memo shared across
+    # calls would hand one spec's records to another with the same prefixes
+    def container_sizes():
+        return {
+            (module.__name__, name): len(value)
+            for module in (cli, orbits)
+            for name, value in vars(module).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        }
+
+    before = container_sizes()
+    for args in [
+        ("bijection", "--m", "3", "--n", "5", "--tau", "53/8"),
+        ("parking", "--m", "2", "--n", "5"),
+        ("bijection", "--m", "2", "--n", "4", "--tau", "3-eps"),
+        ("parking", "--m", "3", "--n", "4", "--format", "tsv"),
+    ]:
+        parsed = build_parser().parse_args(list(args))
+        out = "".join(parsed.handler(parsed))
+        assert hashlib.sha256(out.encode()).hexdigest() == STREAM_OUTPUT_SHA256[args]
+    assert container_sizes() == before
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -560,6 +601,42 @@ def test_error_mid_stream_exits_4(capsys, monkeypatch):
     # the records before the failing orbit were already written
     assert [r["payload"]["lattice"] for r in json_lines(out)] == [[0, 2], [1, 1]]
     assert err.startswith("error: internal: RuntimeError: no parking function")
+
+
+def test_error_on_a_template_miss_exits_4(capsys, monkeypatch):
+    # at n = 4 the groups of a sorted prefix after its first fill in its
+    # template; an orbit first reached mid-group, after such groups, must
+    # still end the output right before its first point, and an orbit
+    # reached at the first point must end it before any record
+    args = ("bijection", "--m", "2", "--n", "4", "--tau", "3-eps")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    lines = out.splitlines(keepends=True)[:-1]
+    points = [tuple(json.loads(line)["payload"]["lattice"]) for line in lines]
+    reached, reused, first = set(), False, None
+    for i, point in enumerate(points):
+        reused = reused or list(point[:2]) != sorted(point[:2])
+        rep = tuple(sorted(point, reverse=True))
+        if rep not in reached:
+            reached.add(rep)
+            if reused and points[i - 1][:2] == point[:2]:
+                first = i
+                break
+    assert first is not None
+
+    for cut in (first, 0):
+        failing = tuple(sorted(points[cut], reverse=True))
+
+        def failing_map(rep, spec):
+            if rep == failing:
+                raise RuntimeError("no parking function")
+            return lattice_to_parking(rep, spec)
+
+        monkeypatch.setattr("zonopark.cli.lattice_to_parking", failing_map)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 4
+        assert out == "".join(lines[:cut])
+        assert err.startswith("error: internal: RuntimeError: no parking function")
 
 
 @pytest.mark.parametrize("mn", [("--m", "0", "--n", "4"), ("--m", "2", "--n", "0")])

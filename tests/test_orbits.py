@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -15,9 +16,10 @@ from zonopark.orbits import (
     prefix_groups,
     stabilizer_partition,
 )
-from zonopark.parking import fuss_catalan
+from zonopark.parking import fuss_catalan, increasing_parking_functions
 from zonopark.zonotope import ZonotopeSpec, enumerate_lattice_points
 from zonopark.scalars import parse_scalar
+from zonopark.verify import sample_taus
 
 
 def test_stabilizer_partition_examples():
@@ -110,6 +112,32 @@ def test_merge_orbits_matches_the_permutation_oracle(reps):
 def test_merge_orbits_small_cases(reps):
     assert list(merge_orbits(iter(reps))) == _union_of_permutations(reps)
     assert_groups_flatten_to_the_orbits(reps)
+
+
+def assert_groups_depend_only_on_the_sorted_prefix(reps):
+    """Groups with one sorted prefix carry one multisets list, in one order.
+
+    Each sorted prefix occurs once per arrangement of its values, and first
+    as itself, so the first of its groups is where its orbits are reached.
+    """
+    multisets_of: dict = {}
+    occurrences: Counter = Counter()
+    for prefix, multisets in prefix_groups(reps):
+        key = tuple(sorted(prefix))
+        if key not in multisets_of:
+            assert prefix == key
+        assert multisets_of.setdefault(key, multisets) == multisets
+        occurrences[key] += 1
+    assert all(count == orbit_size(key) for key, count in occurrences.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_groups_multisets_depend_only_on_its_sorted_prefix(m, n):
+    # the renderers of the orbit commands render each sorted prefix's tails once
+    for tau in sample_taus(m, n):
+        assert_groups_depend_only_on_the_sorted_prefix(ZonotopeSpec(m, n, tau).representatives)
+    assert_groups_depend_only_on_the_sorted_prefix(list(increasing_parking_functions(m, n)))
 
 
 def test_merge_orbits_of_an_m0_spec():
