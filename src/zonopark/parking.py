@@ -11,12 +11,8 @@ residues, rotated, and the shift that makes a parking function is
 ``s = a_k`` for the first k that maximizes ``a_k - m*k``; the image, sorted,
 is the ascending coordinates rotated to start at k.  A query sorts x once,
 and the membership test, the shift and the parking check all read that
-copy.  The inverse lifts a shifted parking function into the window of
-coordinates a member can have and keeps the one lift in the zonotope.
-Sorted, each lift is the sorted parking function rotated at a cut, so its
-coordinate sum is read off the cut.  That sum fixes the shift modulo mn+1,
-so of the at most n+1 shifts whose lift sum is a total a member can have,
-only those whose sum matches, about two, are built and tested.
+copy.  The inverse walks the lifts of the sorted parking function at a
+member's n totals by the same argument, read backwards, and builds one.
 The quotient class of a point is canonicalized by subtracting its last
 coordinate from every entry and reducing modulo mn+1, so class
 representatives are the (mn+1)^(n-1) residue vectors ending in 0, and
@@ -26,7 +22,6 @@ representatives are the (mn+1)^(n-1) residue vectors ending in 0, and
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterator
 
 from .orbits import merge_orbits
@@ -132,7 +127,22 @@ def lattice_to_parking(x, spec: ZonotopeSpec) -> tuple[int, ...]:
 
 
 def parking_to_lattice(values, spec: ZonotopeSpec) -> tuple[int, ...]:
-    """The unique zonotope lattice point in the class of the parking function."""
+    """The unique zonotope lattice point in the class of the parking function.
+
+    With b the sorted values, M = mn+1 and A_t = b[t mod n] + M*(t // n),
+    window t is (A_t, ..., A_{t+n-1}) less m*t: sorted, in the class, of total
+    sum(b) + t.  Windows first to first+n-1, first = lo_ceil[n] - sum(b), are
+    the class's points of spread below M at a member's n totals.  Let D_t(k) be
+    window t's bottom-k sum and L(k) = tau*k - mk(n-k)/2 its bound, and read
+    the cyclic argument of ``lattice_to_parking`` backwards.  As L(k) = L(j) +
+    L(k-j) + mj(k-j) and, for j < k, D_{t+j}(k-j) = D_t(k) - D_t(j) - mj(k-j),
+    a least k with D_t(k) < L(k) rules out windows t to t+k-1, and the walk
+    moves ``best`` to t+k.  Window t+j's top-j sum is D_t(j) + j + mj(n-j),
+    within its bound L(j) + j + mj(n-j) only if D_t(j) <= L(j); so each window
+    after the last ``best``, whose D(j) >= L(j), is outside or on the boundary,
+    which admissibility excludes.  So window ``best`` is the member; its spread
+    is at most mn, so v lifts into [A_best, A_best + M), less m*best.
+    """
     values = tuple(values)
     ascending = sorted(values)
     m, n = spec.m, spec.n
@@ -140,32 +150,21 @@ def parking_to_lattice(values, spec: ZonotopeSpec) -> tuple[int, ...]:
         raise ValueError(f"{values} is not an ({m}, {n})-parking function")
     if not spec.admissible:
         raise NotAdmissibleError(f"tau = {spec.tau} is not admissible")
-    modulus = m * n + 1
-    # every coordinate of a member lies in [low, low + mn], where each
-    # residue has exactly one lift
-    low = spec.lo_ceil[1]
-    # the lift shifted by s has coordinate sum == sum(values) - n*s
-    # (mod mn+1), and -m is the inverse of n mod mn+1, so each total a
-    # member can have fixes the one shift m*(total - sum(values)) that
-    # could reach it
-    value_sum = sum(values)
-    found = []
-    for total in range(spec.lo_ceil[n], spec.up_floor[n] + 1):
-        # with cut = (shift + low) mod (mn+1) the lift maps a value v to
-        # low + v - cut, plus mn+1 when v < cut, so sorted it is the
-        # ascending values rotated to start at the first value >= cut, and
-        # its sum needs no tuple
-        cut = (m * (total - value_sum) + low) % modulus
-        wrap = bisect_left(ascending, cut)
-        if value_sum + n * (low - cut) + wrap * modulus != total:
-            continue
-        lift = [low + (v - cut) % modulus for v in ascending[wrap:] + ascending[:wrap]]
-        if _locate_ascending(spec, lift) is not Location.OUTSIDE:
-            found.append(cut)
-    if len(found) != 1:
-        raise RuntimeError(f"{len(found)} lattice points in the class of {values}")
-    cut = found[0]
-    return tuple([low + (value - cut) % modulus for value in values])
+    modulus, lo_ceil = m * n + 1, spec.lo_ceil
+    first = lo_ceil[n] - sum(ascending)
+    # lifts[i] is A_t at t = i + n*quotient, and shift is m*t at i = best
+    quotient, best = divmod(first, n)
+    lifts = [value + modulus * q for q in range(quotient, quotient + 3) for value in ascending]
+    shift, bottom = m * first, 0
+    for i in range(best + 1, best + n):
+        bottom += lifts[i - 1] - shift
+        if bottom < lo_ceil[i - best]:
+            best, shift, bottom = i, shift + m * (i - best), 0
+    window = [lift - shift for lift in lifts[best : best + n]]
+    if _locate_ascending(spec, window) is Location.OUTSIDE:
+        raise RuntimeError(f"the lift of {values} is not a lattice point of the zonotope")
+    low = lifts[best]
+    return tuple([window[0] + (value - low) % modulus for value in values])
 
 
 def orbit_to_dyck(rep) -> tuple[int, ...]:

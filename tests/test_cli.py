@@ -487,12 +487,21 @@ def test_verify_bounds_must_be_positive(capsys):
         assert "must be a positive integer" in capsys.readouterr().err
 
 
-def test_bijection_output_does_not_rest_on_asserts():
-    args = ("bijection", "--m", "2", "--n", "4", "--tau", "3-eps")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bijection", "--m", "2", "--n", "4", "--tau", "3-eps"),
+        # round_trip reaches the image checks of both maps
+        ("verify", "--max-n", "5", "--max-m", "2", "--seed", "7"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_bijection_output_does_not_rest_on_asserts(args):
     done = subprocess.run(
         [sys.executable, "-O", "-m", "zonopark.cli", *args], capture_output=True, check=True
     )
-    assert hashlib.sha256(done.stdout).hexdigest() == STREAM_OUTPUT_SHA256[args]
+    pins = {**STREAM_OUTPUT_SHA256, **VERIFY_OUTPUT_SHA256}
+    assert hashlib.sha256(done.stdout).hexdigest() == pins[args]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
+from zonopark import parking
 from zonopark.parking import (
     class_index,
     enumerate_parking_functions,
@@ -21,7 +22,7 @@ from zonopark.parking import (
 )
 from zonopark.scalars import EpsRational, parse_scalar
 from zonopark.verify import sample_taus
-from zonopark.zonotope import NotAdmissibleError, ZonotopeSpec, enumerate_lattice_points
+from zonopark.zonotope import Location, NotAdmissibleError, ZonotopeSpec, enumerate_lattice_points
 
 
 def spec_of(m, n, tau_text):
@@ -91,6 +92,34 @@ def test_bijection_error_order():
         assert type(info.value) is ValueError
     with pytest.raises(NotAdmissibleError):
         parking_to_lattice((0, 1), inadmissible)
+
+
+# a failed image check is a broken invariant, so each map raises a
+# RuntimeError, never the ValueError of bad input
+def test_inverse_map_image_check_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(parking, "_locate_ascending", lambda spec, ascending: Location.OUTSIDE)
+    with pytest.raises(RuntimeError) as info:
+        parking_to_lattice((0, 1), spec_of(2, 2, "1-eps"))
+    assert not isinstance(info.value, ValueError)
+
+
+def test_forward_map_image_check_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(parking, "_parks", lambda ascending, m: False)
+    with pytest.raises(RuntimeError) as info:
+        lattice_to_parking((2, 1), spec_of(2, 2, "1-eps"))
+    assert not isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (1, 4), (2, 3), (3, 4)])
+def test_inverse_map_commutes_with_far_translations(m, n):
+    # tau + d translates the zonotope by d*(1,...,1), which keeps each class
+    for tau in sample_taus(m, n, 1):
+        near = ZonotopeSpec(m, n, tau)
+        for d in (10**6, -(10**6)):
+            far = ZonotopeSpec(m, n, tau + d)
+            for f in enumerate_parking_functions(m, n):
+                want = tuple(value + d for value in parking_to_lattice(f, near))
+                assert parking_to_lattice(f, far) == want
 
 
 def test_m0_half_integer_shift_maps_its_one_point():
