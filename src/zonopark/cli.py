@@ -9,9 +9,9 @@ Every command writes its records as they are made, so an error can end
 the output after some records.  ``enumerate``, ``bijection`` and
 ``parking`` never hold the points, and write one prefix group of the
 orbit walk at a time: the records that share all but their last two
-coordinates, with the prefix rendered once.  A group's tails depend only
-on its sorted prefix, so each sorted prefix's tails are rendered once
-per call, as a template that its groups fill in; each tail is one
+coordinates, with the prefix rendered once.  The walk hands each sorted
+prefix's tails to the command once per call, which renders them as a
+template that the prefix's groups fill in; each tail is one
 representative less two coordinates, so these commands hold
 O(n^2 * #representatives).  ``bijection`` maps each orbit once, on its
 representative, relabels the coordinates of its points, and renders the
@@ -42,7 +42,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .orbits import _tails, normalize_partition, prefix_groups
+from .orbits import normalize_partition, prefix_groups
 from .parking import fuss_catalan, increasing_parking_functions, lattice_to_parking
 from .scalars import parse_scalar
 from .tilting import WINDOWS, dominant_weight_blocks, t_grid, tau_for_t
@@ -99,8 +99,8 @@ def _partition_text(blocks) -> str:
 def _cmd_enumerate(args):
     spec = _admissible_spec(args)
     tau_text = str(spec.tau)
-    groups = prefix_groups(spec.representatives)
-    count = yield from _group_lines(args.format, "point", args.m, args.n, tau_text, groups)
+    reps = spec.representatives
+    count = yield from _group_lines(args.format, "point", args.m, args.n, tau_text, reps)
     yield _line(args.format, "summary", args.m, args.n, tau_text, {"count": count})
     return 0
 
@@ -117,70 +117,49 @@ def _cmd_bijection(args):
     # shift share one value -> image text table.
     shift_of_orbit: dict[tuple[int, ...], int] = {}
     relabel_by_shift: dict[int, dict[int, str]] = {}
-    # A group's orbits and tails depend only on its sorted prefix, and the
-    # first group of a sorted prefix is that prefix itself, where each of
-    # its orbits is first reached.  So its orbits are mapped there, and its
-    # records rendered once, as a _group_template whose parking fields,
-    # 3 + i, take the middle and the parking prefix under the i-th shift's
-    # table, rendered once per shift, not per orbit.
-    templates: dict[tuple[int, ...], tuple[str, tuple[int, ...], int]] = {}
 
-    def records(template, shifts, prefix) -> str:
+    def render(key, tails):
+        # The records of a sorted prefix's groups as a _group_template whose
+        # parking fields, 3 + i, take the middle and the parking prefix under
+        # the i-th shift's table.  Each orbit is first reached at its first
+        # tail in the key's first group, and mapped there; if a map fails,
+        # the records before that tail come back with the error.
+        fields: dict[int, str] = {}
+        pieces, error = [], None
+        try:
+            for tail in tails:
+                rep = tuple(sorted(key + tail, reverse=True))
+                shift = shift_of_orbit.get(rep)
+                if shift is None:
+                    image = lattice_to_parking(rep, spec)
+                    shift = shift_of_orbit[rep] = (rep[0] - image[0]) % modulus
+                    relabel_by_shift.setdefault(shift, {}).update(zip(rep, map(str, image)))
+                if shift not in fields:
+                    fields[shift] = f"{{{len(fields) + 3}}}"
+                parking = ",".join(map(relabel_by_shift[shift].__getitem__, tail))
+                pieces.append(",".join(map(str, tail)) + fields[shift] + parking)
+        except Exception as exc:
+            error = exc
+        return _group_template(pieces), tuple(fields), len(pieces), error
+
+    count = 0
+    for prefix, (template, shifts, size, error) in prefix_groups(spec.representatives, render):
+        count += size
         start = head + _prefix_text(prefix)
         parkings = [
             middle + "".join([relabel[v] + "," for v in prefix])
             for relabel in map(relabel_by_shift.__getitem__, shifts)
         ]
-        return template.format(end + start, start, end, *parkings)
-
-    count = 0
-    for prefix, multisets in prefix_groups(spec.representatives):
-        key = tuple(sorted(prefix))
-        entry = templates.get(key)
-        if entry is None:
-            tails = _tails(multisets)
-            fields: dict[int, str] = {}
-            piece_of_tail: dict[tuple[int, ...], str] = {}
-            # both tails of a multiset are rendered at once; a multiset's
-            # orbit is first reached at its first tail, the multiset itself,
-            # so the orbits are mapped in that order
-            try:
-                for multiset in sorted(multisets):
-                    rep = tuple(sorted(key + multiset, reverse=True))
-                    shift = shift_of_orbit.get(rep)
-                    if shift is None:
-                        image = lattice_to_parking(rep, spec)
-                        shift = shift_of_orbit[rep] = (rep[0] - image[0]) % modulus
-                        relabel_by_shift.setdefault(shift, {}).update(zip(rep, map(str, image)))
-                    relabel = relabel_by_shift[shift]
-                    field = fields.setdefault(shift, f"{{{len(fields) + 3}}}")
-                    if len(multiset) == 1:
-                        # n = 1: no prefix, and a tail of one coordinate
-                        (a,) = multiset
-                        piece_of_tail[multiset] = f"{a}{field}{relabel[a]}"
-                        continue
-                    a, b = multiset
-                    x, y = relabel[a], relabel[b]
-                    piece_of_tail[a, b] = f"{a},{b}{field}{x},{y}"
-                    piece_of_tail[b, a] = f"{b},{a}{field}{y},{x}"
-            except Exception:
-                # the records before the first point of the orbit that failed
-                done = tails[: tails.index(multiset)]
-                template = _group_template(map(piece_of_tail.__getitem__, done))
-                yield records(template, fields, prefix)
-                raise
-            template = _group_template(map(piece_of_tail.__getitem__, tails))
-            entry = templates[key] = template, tuple(fields), len(tails)
-        template, shifts, size = entry
-        count += size
-        yield records(template, shifts, prefix)
+        yield template.format(end + start, start, end, *parkings)
+        if error is not None:
+            raise error
     yield _line(args.format, "summary", args.m, args.n, tau_text, {"count": count})
     return 0
 
 
 def _cmd_parking(args):
-    groups = prefix_groups(increasing_parking_functions(args.m, args.n))
-    count = yield from _group_lines(args.format, "parking", args.m, args.n, None, groups)
+    reps = increasing_parking_functions(args.m, args.n)
+    count = yield from _group_lines(args.format, "parking", args.m, args.n, None, reps)
     yield _line(args.format, "summary", args.m, args.n, None, {"count": count})
     return 0
 
@@ -312,24 +291,19 @@ def _group_template(tails) -> str:
     return "{1}" + text + "{2}" if text else ""
 
 
-def _group_lines(fmt: str, kind: str, m, n, tau, groups):
-    """Yield the records of each prefix group as one string, one per point; return how many.
+def _group_lines(fmt: str, kind: str, m, n, tau, reps):
+    """Yield the records of each prefix group of reps as one string, one per point; return how many.
 
-    A group's tails depend only on its sorted prefix, so they are rendered
-    once per sorted prefix, as a ``_group_template`` that each of its
-    groups fills in with the head and its own prefix.
+    Each sorted prefix's tails are rendered once, as a ``_group_template``
+    that each of its groups fills in with the head and its own prefix.
     """
     head, end = _template(fmt, kind, m, n, tau, [_SLOT])
-    templates: dict[tuple[int, ...], tuple[str, int]] = {}
+
+    def render(key, tails):
+        return _group_template([",".join(map(str, tail)) for tail in tails]), len(tails)
+
     count = 0
-    for prefix, multisets in groups:
-        key = tuple(sorted(prefix))
-        entry = templates.get(key)
-        if entry is None:
-            tails = _tails(multisets)
-            template = _group_template([",".join(map(str, tail)) for tail in tails])
-            entry = templates[key] = template, len(tails)
-        template, size = entry
+    for prefix, (template, size) in prefix_groups(reps, render):
         count += size
         start = head + _prefix_text(prefix)
         yield template.format(end + start, start, end)

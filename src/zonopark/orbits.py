@@ -1,9 +1,10 @@
 """Coordinate-permutation (S_n) utilities: orbits, stabilizers, partitions.
 
 ``prefix_groups`` is the one orbit walk: it yields the points of the orbits
-one prefix group at a time.  ``merge_orbits`` flattens it into points, and
-every command and check that expands orbits streams them from one of the
-two; ``orbit_of`` is the one-orbit list.
+one prefix group at a time, with each sorted prefix's tails rendered once
+by its caller.  ``merge_orbits`` flattens it into points, and every command
+and check that expands orbits streams them from one of the two;
+``orbit_of`` is the one-orbit list.
 """
 
 from __future__ import annotations
@@ -59,35 +60,30 @@ def merge_orbits(reps) -> Iterator[tuple[int, ...]]:
 
     The flatten of ``prefix_groups``: each group's prefix followed by each
     of its tails.  The representatives may come in any order and with their
-    coordinates in any order, but all of one length.
+    coordinates in any order, but all of one length.  It keeps each sorted
+    prefix's tails as pointers to pairs held once per call, so it holds
+    O(n^2 * #representatives) pointers, never the points.
     """
-    for prefix, multisets in prefix_groups(reps):
-        yield from map(prefix.__add__, _tails(multisets))
+    pairs: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def intern(key, tails):
+        return list(map(pairs.setdefault, tails, tails))
+
+    for prefix, tails in prefix_groups(reps, intern):
+        yield from map(prefix.__add__, tails)
 
 
-def prefix_groups(reps) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """The points of the orbits of reps as ``(prefix, multisets)`` groups, in lexicographic order.
+def prefix_groups(reps, render) -> Iterator[tuple[tuple[int, ...], object]]:
+    """The orbits of reps as ``(prefix, render(key, tails))`` groups, in lexicographic order.
 
-    A prefix walk.  The points that start with a given prefix are the
-    orbits of what the representatives have left once the prefix's values
-    are taken out of them.  So from each prefix the walk steps, in
-    ascending order, to each value those remaining multisets hold, keeping
-    the multisets that hold it, less one copy of it.  With two coordinates
-    left the walk is at a leaf, of prefix length max(n - 2, 0), and yields
-    the prefix with its remaining sorted multisets, one per orbit that has
-    points there.  The group's points are the prefix followed by each of
-    ``_tails(multisets)``: a multiset {a, b} ends its points in (a, b) and
-    (b, a).  No prefix repeats.
-
-    It holds, on each of at most n - 2 levels, one list of remaining
-    multisets, at most one per representative, so its memory is
-    O(n * #representatives).  It never holds the points.  A group's
-    multisets depend only on the sorted prefix, which first occurs as
-    itself and then once per other arrangement of its values, so a
-    renderer may render each sorted prefix's tails once.  Each tail is one
-    representative less two coordinates, so the three orbit commands,
-    which keep those renderings for their call, hold
-    O(n^2 * #representatives).
+    A prefix walk: from each prefix it steps, in ascending order, to each
+    value the representatives have left, less the prefix's values.  A group
+    is a prefix of length max(n - 2, 0), none twice; its points are the
+    prefix followed by each of its tails, which depend only on the sorted
+    prefix ``key``.  So ``render`` is called once per key, with the key's
+    sorted tails, at its first group, whose prefix is the key, and every
+    group of the key yields that result.  Memory: one list of remaining
+    multisets per level, O(n * #representatives), plus one result per key.
     """
     multisets = [tuple(sorted(rep)) for rep in reps]
     if not multisets:
@@ -95,36 +91,42 @@ def prefix_groups(reps) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]
     n = len(multisets[0])
     if any(len(multiset) != n for multiset in multisets):
         raise ValueError("representatives must all have the same length")
-    # each level is a prefix and its branches still to walk
-    levels: list[tuple[tuple[int, ...], Iterator]] = []
-    prefix: tuple[int, ...] = ()
-    while True:
-        if n - len(prefix) > 2:
-            levels.append((prefix, _branches(multisets)))
-        else:
-            yield prefix, multisets
-        # the next prefix is the next branch of the deepest level that has one
-        while levels:
-            head, branches = levels[-1]
-            step = next(branches, None)
-            if step is not None:
-                break
+    if n <= 2:
+        yield (), render((), _tails(multisets))
+        return
+    rendered: dict[tuple[int, ...], object] = {}
+    # each level is a prefix, its remaining multisets and the values still to step to
+    levels = [((), multisets, _values(multisets))]
+    while levels:
+        head, multisets, values = levels[-1]
+        value = next(values, None)
+        if value is None:
             levels.pop()
-        else:
-            return
-        value, multisets = step
+            continue
         prefix = (*head, value)
+        if len(prefix) < n - 2:
+            remaining = _without(multisets, value)
+            levels.append((prefix, remaining, _values(remaining)))
+            continue
+        key = tuple(sorted(prefix))
+        if key not in rendered:
+            rendered[key] = render(key, _tails(_without(multisets, value)))
+        yield prefix, rendered[key]
 
 
-def _branches(multisets) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """Each value the sorted multisets hold, ascending, with those that hold it, less it."""
-    for value in sorted({v for multiset in multisets for v in multiset}):
-        yield value, [
-            multiset[:i] + multiset[i + 1 :]
-            for multiset in multisets
-            if value in multiset
-            for i in (multiset.index(value),)
-        ]
+def _values(multisets) -> Iterator[int]:
+    """Each value the multisets hold, ascending."""
+    return iter(sorted({v for multiset in multisets for v in multiset}))
+
+
+def _without(multisets, value) -> list[tuple[int, ...]]:
+    """The sorted multisets that hold value, less one copy of it."""
+    return [
+        multiset[:i] + multiset[i + 1 :]
+        for multiset in multisets
+        if value in multiset
+        for i in (multiset.index(value),)
+    ]
 
 
 def _tails(multisets) -> list[tuple[int, ...]]:

@@ -10,7 +10,8 @@ The bijection is S_n-equivariant, so the identities about orbits read one
 member per orbit: the representatives or the weakly increasing parking
 functions.  The point-wise checks accept any iterable of points or parking
 functions; ``run_checks`` hands each a fresh lexicographic ``merge_orbits``
-stream, six per (m, n), so it holds the representatives and one class bitmap
+stream, six per (m, n), so it holds the representatives, each stream's
+tails (O(n^2 * #representatives) pointers to pairs) and one class bitmap
 of (mn+1)^(n-1) bytes, never the points.  ``round_trip`` maps each point
 there and back, and only counts the parking functions.
 """

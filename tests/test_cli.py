@@ -324,10 +324,10 @@ def test_command_output_is_pinned(capsys, args):
 )
 def test_streaming_commands_hold_only_the_representatives(monkeypatch, args):
     # 14,641 records for each of the first three; holding them all as tuples
-    # peaks above 1.2 MiB, while the merged orbit stream holds one generator
-    # per representative (and bijection one relabel table per shift).  The
-    # 43,263 Dyck paths of (3, 8) held as a list peak near 4.9 MiB; the
-    # successor scan holds only the current path
+    # peaks above 1.2 MiB, while the orbit walk holds its path of remaining
+    # multisets and one template per sorted prefix (and bijection one
+    # relabel table per shift).  The 43,263 Dyck paths of (3, 8) held as a
+    # list peak near 4.9 MiB; the successor scan holds only the current path
     code, peak = traced_peak(monkeypatch, args)
     assert code == 0
     assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
@@ -411,6 +411,18 @@ def test_bijection_maps_each_orbit_once(monkeypatch):
     assert len(calls) == len(reps) == 969
     assert set(calls) == set(reps)
     assert all(type(rep) is tuple and list(rep) == sorted(rep, reverse=True) for rep in calls)
+
+
+def test_bijection_finds_the_tails_of_each_sorted_prefix_once(monkeypatch):
+    # the 1,792 groups at (3, 5) share 357 sorted prefixes
+    calls = []
+    tails = orbits._tails
+    monkeypatch.setattr(orbits, "_tails", lambda multisets: calls.append(multisets) or tails(multisets))
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        code = main(["bijection", "--m", "3", "--n", "5", "--tau", "53/8"])
+    assert code == 0
+    assert len(calls) == 357
 
 
 def test_bijection_yields_one_string_per_prefix_group():

@@ -1,14 +1,15 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zonopark import orbits
 from zonopark.orbits import (
-    _tails,
     merge_orbits,
     normalize_partition,
     orbit_of,
@@ -45,7 +46,7 @@ def test_orbit_of_is_every_distinct_permutation_in_lex_order(x):
     assert orbit_of(x) == sorted(set(itertools.permutations(x)))
 
 
-def test_iter_orbit_is_lazy():
+def test_merge_orbits_is_lazy():
     # the orbit of 12 distinct coordinates has 12! points, too many for a list
     orbit = merge_orbits([tuple(range(12, 0, -1))])
     assert next(orbit) == tuple(range(1, 13))
@@ -62,8 +63,8 @@ def assert_groups_flatten_to_the_orbits(reps):
 
     Each prefix leaves two coordinates, or none at n <= 2, and none repeats.
     """
-    groups = list(prefix_groups(reps))
-    points = [prefix + tail for prefix, multisets in groups for tail in _tails(multisets)]
+    groups = list(prefix_groups(reps, lambda key, tails: tails))
+    points = [prefix + tail for prefix, tails in groups for tail in tails]
     assert points == _union_of_permutations(reps)
     prefixes = [prefix for prefix, _ in groups]
     assert len(set(prefixes)) == len(prefixes)
@@ -114,30 +115,79 @@ def test_merge_orbits_small_cases(reps):
     assert_groups_flatten_to_the_orbits(reps)
 
 
-def assert_groups_depend_only_on_the_sorted_prefix(reps):
-    """Groups with one sorted prefix carry one multisets list, in one order.
+def assert_each_sorted_prefix_is_rendered_once(reps):
+    """The walk calls render once per sorted prefix, at the group whose prefix it is.
 
-    Each sorted prefix occurs once per arrangement of its values, and first
-    as itself, so the first of its groups is where its orbits are reached.
+    The call gets the tails of that prefix's points, as the permutation
+    oracle gives them, and every group of the sorted prefix, one per
+    arrangement of its values, yields the very object the call returned.
     """
-    multisets_of: dict = {}
-    occurrences: Counter = Counter()
-    for prefix, multisets in prefix_groups(reps):
+    oracle_tails: dict = {}
+    for point in _union_of_permutations(reps):
+        cut = max(len(point) - 2, 0)
+        oracle_tails.setdefault(point[:cut], []).append(point[cut:])
+    calls = []
+
+    def render(key, tails):
+        calls.append((key, tails))
+        return object()
+
+    rendered: dict = {}
+    groups: Counter = Counter()
+    for prefix, result in prefix_groups(reps, render):
         key = tuple(sorted(prefix))
-        if key not in multisets_of:
+        if key in rendered:
+            assert len(calls) == len(rendered)
+        else:
+            assert len(calls) == len(rendered) + 1
+            assert calls[-1] == (prefix, oracle_tails[prefix])
             assert prefix == key
-        assert multisets_of.setdefault(key, multisets) == multisets
-        occurrences[key] += 1
-    assert all(count == orbit_size(key) for key, count in occurrences.items())
+            rendered[key] = result
+        assert result is rendered[key]
+        groups[key] += 1
+    assert len(calls) == len(rendered) == len(groups)
+    assert all(count == orbit_size(key) for key, count in groups.items())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_groups_multisets_depend_only_on_its_sorted_prefix(m, n):
-    # the renderers of the orbit commands render each sorted prefix's tails once
+    # so the walk renders each sorted prefix's tails once, for all its groups
     for tau in sample_taus(m, n):
-        assert_groups_depend_only_on_the_sorted_prefix(ZonotopeSpec(m, n, tau).representatives)
-    assert_groups_depend_only_on_the_sorted_prefix(list(increasing_parking_functions(m, n)))
+        assert_each_sorted_prefix_is_rendered_once(ZonotopeSpec(m, n, tau).representatives)
+    assert_each_sorted_prefix_is_rendered_once(list(increasing_parking_functions(m, n)))
+
+
+def count_tails_calls(monkeypatch) -> list:
+    """Patch the walk's ``_tails`` to note each call in the returned list."""
+    calls = []
+    tails = orbits._tails
+    monkeypatch.setattr(orbits, "_tails", lambda multisets: calls.append(multisets) or tails(multisets))
+    return calls
+
+
+@pytest.mark.parametrize("m, n, tau, groups, keys", [(3, 5, "53/8", 1_792, 357), (2, 6, "5-eps", 10_985, 700)])
+def test_merge_orbits_finds_the_tails_of_each_sorted_prefix_once(monkeypatch, m, n, tau, groups, keys):
+    reps = ZonotopeSpec(m, n, parse_scalar(tau)).representatives
+    assert sum(1 for _ in prefix_groups(reps, lambda key, tails: None)) == groups
+    calls = count_tails_calls(monkeypatch)
+    for _ in merge_orbits(reps):
+        pass
+    assert len(calls) == keys
+
+
+def test_merge_orbits_holds_interned_tails_not_the_points():
+    # 371,293 points at (2, 6); the 700 sorted prefixes' tails point into one
+    # table of pairs; without it each tail is its own tuple, about 1.5 MiB
+    reps = ZonotopeSpec(2, 6, parse_scalar("5-eps")).representatives
+    tracemalloc.start()
+    try:
+        for _ in merge_orbits(reps):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_merge_orbits_of_an_m0_spec():
