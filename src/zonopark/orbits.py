@@ -79,7 +79,8 @@ def prefix_groups(reps, render) -> Iterator[tuple[tuple[int, ...], object]]:
     A prefix walk: from each prefix it steps, in ascending order, to each
     value the representatives have left, less the prefix's values.  A group
     is a prefix of length max(n - 2, 0), none twice; its points are the
-    prefix followed by each of its tails, which depend only on the sorted
+    prefix followed by each of its tails, the orbits of what the
+    representatives have left, so the tails depend only on the sorted
     prefix ``key``.  So ``render`` is called once per key, with the key's
     sorted tails, at its first group, whose prefix is the key, and every
     group of the key yields that result.  Memory: one list of remaining
